@@ -60,4 +60,11 @@ evps_gbench(micro_expr)
 # the 10k variants, which still exercise the bulk-build and per-op paths.
 evps_gbench(micro_matcher
   "--benchmark_filter=-(BM_LargePopulationMatch|BM_MaintenanceSweep<.*>/(100000|1000000)|BM_BulkRebuild/100000)")
-evps_gbench(micro_engines)
+# Building the 10k-resident populations dominates this bench (CLEES most of
+# all): smoke keeps one point of every benchmark function — the 100/1000
+# matches, K=4 sharded matching, K=4 batches of 8 and the small evolution
+# rounds. google-benchmark rebuilds the population in every round it runs
+# to size the iteration count, so the smoke also lowers the minimum time
+# (the later flag wins) to keep that to one or two rounds.
+evps_gbench(micro_engines --benchmark_min_time=0.001
+  "--benchmark_filter=^BM_(VesMatch|LeesMatch|CleesMatch|VesEvolutionRound)/(100|1000)$|ShardedMatch/10000/4$|MatchBatch/10000/4/8$")

@@ -49,7 +49,7 @@ int main() {
     HftExperiment exp(make_config(system));
     exp.run();
     const AccuracyResult r = compare_logs(truth, exp.delivery_log());
-    const Summary latency = collect_delivery_latency(exp.overlay());
+    const OnlineStats latency = collect_delivery_latency(exp.overlay());
     t.add_row({to_string(system), std::to_string(r.actual_deliveries),
                std::to_string(r.false_positives), std::to_string(r.false_negatives),
                std::to_string(r.errors()), Table::fmt(r.error_rate() * 100, 2) + "%",

@@ -28,60 +28,7 @@ void BM_ParseGameSubscription(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseGameSubscription);
 
-void BM_EvalLinear(benchmark::State& state) {
-  const auto expr = parse_expr("-3 + 1.5 * t");
-  const MapEnv env{{"t", 2.0}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(expr->eval(env));
-  }
-}
-BENCHMARK(BM_EvalLinear);
-
-void BM_EvalVisibilityScaled(benchmark::State& state) {
-  const auto expr = parse_expr("(3 + 1.5 * t) * v");
-  const MapEnv env{{"t", 2.0}, {"v", 0.5}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(expr->eval(env));
-  }
-}
-BENCHMARK(BM_EvalVisibilityScaled);
-
-void BM_EvalThroughRegistryScope(benchmark::State& state) {
-  const auto expr = parse_expr("(3 + 1.5 * t) * v");
-  VariableRegistry registry;
-  registry.set("v", 0.5, SimTime::zero());
-  const EvalScope scope{&registry, SimTime::from_seconds(2), SimTime::zero()};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(expr->eval(scope));
-  }
-}
-BENCHMARK(BM_EvalThroughRegistryScope);
-
-void BM_EvalDeepRegistryHistory(benchmark::State& state) {
-  const auto expr = parse_expr("10 * v");
-  VariableRegistry registry;
-  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    registry.set("v", i * 0.001, SimTime::from_seconds(i));
-  }
-  const EvalScope scope{&registry, SimTime::from_seconds(state.range(0) / 2.0),
-                        SimTime::zero()};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(expr->eval(scope));
-  }
-}
-BENCHMARK(BM_EvalDeepRegistryHistory)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_MaterializePredicate(benchmark::State& state) {
-  const Predicate pred{"x", RelOp::kGe, parse_expr("-3 + 1.5 * t")};
-  const MapEnv env{{"t", 2.0}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pred.materialize(env));
-  }
-}
-BENCHMARK(BM_MaterializePredicate);
-
-// --- Compiled counterparts: same expressions lowered to flat ExprProgram ---
-// These are the numbers the engine hot paths actually pay per publication.
+// --- Compiled evaluation: the flat ExprProgram the engine hot paths run ---
 
 void BM_CompileProgram(benchmark::State& state) {
   const auto expr = parse_expr("(3 + 1.5 * t) * v");

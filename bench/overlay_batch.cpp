@@ -12,9 +12,9 @@
 // The publisher emits its publications in per-tick bursts (many events in
 // one virtual instant), the regime link batching targets: every overlay hop
 // can pack a burst's worth of matched publications into one
-// PublishBatchMsg/DeliveryBatchMsg. Each workload runs at link_batch_size
-// in {1, 8, 64, 256} (with matcher batching set to match, so the sweep
-// measures the whole batched pipeline) and records
+// PublishBatchMsg/DeliveryBatchMsg, and each downstream broker matches an
+// arriving batch with one engine match_batch call. Each workload runs at
+// link_batch_size in {1, 8, 64, 256} and records
 //
 //   - events per overlay message (LinkBatchCounters: envelopes vs
 //     publications carried),
@@ -140,9 +140,7 @@ RunStats run(const Workload& w, std::size_t link_batch) {
   BrokerConfig cfg;
   cfg.engine.kind = EngineKind::kLees;
   cfg.routing = RoutingMode::kAdvertisement;
-  // Sweep the whole batched pipeline: matcher batching and link batching at
-  // the same width, zero flush deadline (the equivalence-preserving policy).
-  cfg.batch_size = link_batch;
+  // Zero flush deadline: the equivalence-preserving policy.
   cfg.link_batch_size = link_batch;
   cfg.measure_link_bytes = true;
   auto brokers = overlay.build_star(kEdges, cfg, Duration::millis(5));

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "analysis/covering.hpp"
+#include "expr_oracle.hpp"
 #include "message/codec.hpp"
 #include "fuzz_driver.hpp"
 
@@ -108,14 +109,6 @@ void make_zone_pair(ByteStream& bs, std::string& a_text, std::string& b_text,
     << num(c + wb);
   a_text = a.str();
   b_text = b.str();
-}
-
-bool matches_sub(const Subscription& sub, const Publication& pub, const EvalScope& scope) {
-  for (const Predicate& pred : sub.predicates()) {
-    const Value* v = pub.get(pred.attribute());
-    if (v == nullptr || !pred.matches(*v, scope)) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -218,7 +211,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
         } else if (py_mode == 1) {
           pub.set(kAttrs[1], Value{bs.in(-80.0, 80.0)});
         }
-        if (matches_sub(b, pub, scope_b) && !matches_sub(a, pub, scope_a)) {
+        if (oracle::matches(b, pub, scope_b) && !oracle::matches(a, pub, scope_a)) {
           std::fprintf(stderr,
                        "false kCovers at t=%g:\n  A: %s\n  B: %s\n  pub: %s\n",
                        clock, a_text.c_str(), b_text.c_str(), serialize(pub).c_str());

@@ -123,6 +123,13 @@ if [[ "${QUICK}" == "0" ]]; then
         "${bench}" --benchmark_min_time=0.01 --benchmark_repetitions=1 \
             '--benchmark_filter=-(BM_LargePopulationMatch|BM_MaintenanceSweep<.*>/(100000|1000000)|BM_BulkRebuild/100000)' \
             --benchmark_out=/dev/null >/dev/null ;;
+      micro_engines)
+        # One point per benchmark function: the 10k-resident population
+        # builds dominate the full run (same filter and minimum time as the
+        # ctest entry).
+        "${bench}" --benchmark_min_time=0.001 --benchmark_repetitions=1 \
+            '--benchmark_filter=^BM_(VesMatch|LeesMatch|CleesMatch|VesEvolutionRound)/(100|1000)$|ShardedMatch/10000/4$|MatchBatch/10000/4/8$' \
+            --benchmark_out=/dev/null >/dev/null ;;
       micro_*)
         # google-benchmark micros. Plain double (seconds): the "0.01s" suffix
         # form needs benchmark >= 1.8. Explicit --benchmark_out so the smoke

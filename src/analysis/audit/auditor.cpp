@@ -254,11 +254,6 @@ class Audit {
   void check_quiescence(std::size_t i) {
     if (!opts_.check_quiescence) return;
     const BrokerState& b = *ctx_[i].st;
-    if (b.pending_match_batch != 0) {
-      add(Invariant::kQuiescence, &b, SubscriptionId::invalid(),
-          "stranded matcher-batch buffer: " + std::to_string(b.pending_match_batch) +
-              " publication(s) awaiting a batched match past the barrier");
-    }
     for (const PendingLink& p : b.pending_links) {
       if (p.pending == 0) continue;
       add(Invariant::kQuiescence, &b, SubscriptionId::invalid(),

@@ -19,8 +19,7 @@
 //      bookkeeping matches the engine-side DedupTable refcounts (canonical
 //      members installed, non-canonical suppressed, groups re-derivable
 //      from the installed table).
-//   3. quiescence — no stranded matcher-batch buffer and no stranded
-//      link-batcher slot past a barrier.
+//   3. quiescence — no stranded link-batcher slot past a barrier.
 //   4. no ghost state — every matcher slot, lazy-storage entry and covering
 //      node traces back to a live installed subscription, and conversely
 //      every installed subscription has exactly the physical footprint its

@@ -117,7 +117,6 @@ std::string canonical_text(const OverlaySnapshot& snap) {
       for (const SubscriptionId id : g.members) os << " " << id;
       os << " ]\n";
     }
-    os << "  pending match_batch=" << b.pending_match_batch << "\n";
     for (const PendingLink& p : b.pending_links) {
       os << "  pending link dest=" << p.dest << " n=" << p.pending << "\n";
     }

@@ -129,9 +129,6 @@ struct BrokerState {
   std::vector<AdvertEntry> adverts;
   std::vector<ForestNode> forest;
   EngineState engine;
-  /// Publications buffered for a batched engine match (BrokerConfig::
-  /// batch_size); zero at any quiesce point.
-  std::size_t pending_match_batch = 0;
   std::vector<PendingLink> pending_links;
   std::vector<VariableState> variables;
 

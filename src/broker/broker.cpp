@@ -35,7 +35,6 @@ Broker::Broker(std::string name, Network& net, BrokerConfig config)
 }
 
 Broker::~Broker() {
-  *alive_ = false;
   for (auto& monitor : monitors_) monitor.cancel();
 }
 
@@ -80,16 +79,6 @@ void Broker::on_message(const Envelope& env) {
   std::visit(
       [&](const auto& msg) {
         using T = std::decay_t<decltype(msg)>;
-        if constexpr (!std::is_same_v<T, PublishMsg> && !std::is_same_v<T, PublishBatchMsg>) {
-          // Matching barrier: publications buffered for a batched match
-          // (BrokerConfig::batch_size) arrived before this control message,
-          // so they must match against the pre-control engine and variable
-          // state — exactly what the per-message path would have done. Flush
-          // them before applying anything that can change matching (a
-          // same-instant variable update would otherwise be visible to the
-          // deferred batch).
-          flush_pending_publications();
-        }
         if constexpr (std::is_same_v<T, SubscribeMsg>) {
           handle_subscribe(msg, env.from);
         } else if constexpr (std::is_same_v<T, UnsubscribeMsg>) {
@@ -373,16 +362,11 @@ void Broker::handle_publish(PublishMsg msg, NodeId from) {
     }
   }
 
-  if (msg.snapshot != nullptr || config_.batch_size <= 1) {
-    // Immediate path: snapshot-carrying publications always match under
-    // their own snapshot; batch_size 1 keeps the per-publication matcher
-    // call (the link batcher may still group the outgoing sends).
-    std::vector<NodeId> destinations;
-    engine_->match(*msg.pub, msg.snapshot.get(), *this, destinations);
-    forward_publication(msg, from, destinations);
-    return;
-  }
-  enqueue_publication(std::move(msg), from);
+  // Snapshot-carrying publications match under their own snapshot; the
+  // link batcher may still group the outgoing sends of the others.
+  std::vector<NodeId> destinations;
+  engine_->match(*msg.pub, msg.snapshot.get(), *this, destinations);
+  forward_publication(msg, from, destinations);
 }
 
 void Broker::handle_publish_batch(const PublishBatchMsg& msg, NodeId from) {
@@ -390,42 +374,15 @@ void Broker::handle_publish_batch(const PublishBatchMsg& msg, NodeId from) {
   // recording happens here; stats count events, not envelopes, keeping
   // every counter invariant under batching.
   stats_.publications += msg.pubs.size();
-  if (config_.batch_size <= 1) {
-    // The arrival is already a batch: match it with one engine call anyway
-    // (exact by the match_batch contract), then route per event.
-    for (const auto& pub : msg.pubs) pending_pubs_.emplace_back(PublishMsg{pub, nullptr}, from);
-    flush_pending_publications();
-    return;
-  }
-  for (const auto& pub : msg.pubs) enqueue_publication(PublishMsg{pub, nullptr}, from);
-}
-
-void Broker::enqueue_publication(PublishMsg msg, NodeId from) {
-  pending_pubs_.emplace_back(std::move(msg), from);
-  if (pending_pubs_.size() >= config_.batch_size) {
-    flush_pending_publications();
-  } else if (!flush_scheduled_) {
-    flush_scheduled_ = true;
-    // Zero-delay flush: it runs in the same virtual instant, after every
-    // already-queued same-time event (simulator FIFO), so publications
-    // arriving in one instant share a batch and nothing is delayed.
-    schedule(Duration::zero(), [this, alive = alive_] {
-      if (*alive) flush_pending_publications();
-    });
-  }
-}
-
-void Broker::flush_pending_publications() {
-  flush_scheduled_ = false;
-  if (pending_pubs_.empty()) return;
+  // One engine call for the whole arrival (exact by the match_batch
+  // contract), then route per event in arrival order.
   batch_ptrs_.clear();
-  for (const auto& [msg, from] : pending_pubs_) batch_ptrs_.push_back(msg.pub.get());
+  for (const auto& pub : msg.pubs) batch_ptrs_.push_back(pub.get());
   engine_->match_batch(std::span<const Publication* const>(batch_ptrs_), nullptr, *this,
                        batch_dests_);
-  for (std::size_t i = 0; i < pending_pubs_.size(); ++i) {
-    forward_publication(pending_pubs_[i].first, pending_pubs_[i].second, batch_dests_[i]);
+  for (std::size_t i = 0; i < msg.pubs.size(); ++i) {
+    forward_publication(PublishMsg{msg.pubs[i], nullptr}, from, batch_dests_[i]);
   }
-  pending_pubs_.clear();
 }
 
 void Broker::forward_publication(const PublishMsg& msg, NodeId from,
@@ -514,7 +471,6 @@ audit::BrokerState Broker::export_snapshot() const {
     });
   }
   engine_->export_audit_state(out.engine);
-  out.pending_match_batch = pending_pubs_.size();
   link_batcher_.for_each_pending([&out](NodeId dest, std::size_t pending) {
     out.pending_links.push_back(audit::PendingLink{dest, pending});
   });

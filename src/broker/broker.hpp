@@ -63,21 +63,13 @@ struct BrokerConfig {
   /// `covering` is on; the refinement only ever strengthens kUnknown to a
   /// proved kCovers, so delivery sets remain unchanged.
   bool relational_covering = true;
-  /// Publication batching: buffer up to this many snapshot-free publications
-  /// and match them with one BrokerEngine::match_batch call (amortising the
-  /// matcher-shard pool dispatch). Buffered publications are flushed by a
-  /// zero-delay timer in the same virtual instant — the simulator's
-  /// same-time FIFO means timestamps, delivery sets and per-link message
-  /// order towards each destination are unchanged. 1 (the default) keeps
-  /// the immediate per-publication path. Snapshot-carrying publications
-  /// always match immediately (each carries its own snapshot).
-  std::size_t batch_size = 1;
   /// Link batching (DESIGN.md §14): buffer up to this many publications per
   /// outgoing link (neighbour forward or client delivery) and send them as
   /// one PublishBatchMsg/DeliveryBatchMsg. 0 resolves to the EVPS_LINK_BATCH
   /// environment variable (default 1, the per-message path). With a zero
   /// flush deadline, deliveries, timestamps and per-link order are
-  /// bit-identical to the per-message path.
+  /// bit-identical to the per-message path. The receiving broker matches
+  /// each inbound PublishBatchMsg with one BrokerEngine::match_batch call.
   std::size_t link_batch_size = 0;
   /// Maximum virtual time a publication may wait in a link buffer. Zero (the
   /// default) flushes in the same virtual instant — the equivalence-
@@ -176,7 +168,7 @@ class Broker final : public NetworkNode, public EngineHost {
 
   /// Export this broker's complete routing-relevant state for offline
   /// verification (analysis/audit): routing table, advertisement table,
-  /// covering forest, engine physical footprint, pending batch buffers and
+  /// covering forest, engine physical footprint, pending link buffers and
   /// evolution-variable state. Purely observational — never perturbs the
   /// broker. The result is NOT normalized; see OverlaySnapshot::normalize.
   [[nodiscard]] audit::BrokerState export_snapshot() const;
@@ -185,17 +177,15 @@ class Broker final : public NetworkNode, public EngineHost {
   void handle_subscribe(const SubscribeMsg& msg, NodeId from);
   void handle_unsubscribe(const UnsubscribeMsg& msg, NodeId from);
   void handle_update(const SubscriptionUpdateMsg& msg, NodeId from);
+  /// Match one publication on arrival and forward it.
   void handle_publish(PublishMsg msg, NodeId from);
+  /// Match an inbound link batch with one engine batch call, then forward
+  /// each publication in arrival order.
   void handle_publish_batch(const PublishBatchMsg& msg, NodeId from);
   /// Flush pending batched publications towards `to`, then send `msg`: every
   /// non-batchable (control / snapshot-carrying) message goes through this
   /// barrier so per-link relative order matches the per-message path.
   void send_to(NodeId to, Message msg);
-  /// Buffer one matched-or-not publication and flush/schedule per
-  /// BrokerConfig::batch_size.
-  void enqueue_publication(PublishMsg msg, NodeId from);
-  /// Match + forward everything in pending_pubs_ with one engine batch call.
-  void flush_pending_publications();
   /// Forward `msg` to `destinations` (skipping `from`), counting stats.
   /// Snapshot-free publications route through the link batcher;
   /// snapshot-carrying ones bypass it (each evaluates under its own
@@ -242,15 +232,9 @@ class Broker final : public NetworkNode, public EngineHost {
   /// Load-monitor timers; cancelled on destruction so no simulator callback
   /// outlives the broker it captures.
   std::vector<TimerHandle> monitors_;
-  /// Publication batching buffer (BrokerConfig::batch_size > 1): arrivals in
-  /// FIFO order with the neighbour each came from, plus grow-only scratch
-  /// for the contiguous engine batch. The alive flag guards the zero-delay
-  /// flush timer against broker teardown.
-  std::vector<std::pair<PublishMsg, NodeId>> pending_pubs_;
+  /// Grow-only scratch for matching an inbound link batch.
   std::vector<const Publication*> batch_ptrs_;
   std::vector<std::vector<NodeId>> batch_dests_;
-  bool flush_scheduled_ = false;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   /// Per-link outgoing batching (BrokerConfig::link_batch_size).
   LinkBatcher link_batcher_;
   BrokerStats stats_;

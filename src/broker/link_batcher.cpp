@@ -106,7 +106,7 @@ void LinkBatcher::flush_slot(Slot& slot, FlushCause cause) {
   }
   ++counters_.batch_messages;
   counters_.events += slot.pending.size();
-  counters_.fill.record(static_cast<double>(slot.pending.size()));
+  counters_.fill.add(static_cast<double>(slot.pending.size()));
   if (config_.measure_bytes) {
     serialize_batch(std::span<const PublicationPtr>(slot.pending), arena_);
     counters_.bytes += arena_.size();

@@ -42,7 +42,7 @@
 #include "message/messages.hpp"
 #include "message/subscription.hpp"
 #include "metrics/shard_counters.hpp"
-#include "sim/stats.hpp"
+#include "stats/online_stats.hpp"
 
 namespace evps {
 
@@ -64,11 +64,11 @@ class EngineHost {
 struct EngineCosts {
   /// Per-operation time spent maintaining subscription versions
   /// (VES evolution updates, parametric updates), in seconds.
-  Summary maintenance;
+  OnlineStats maintenance;
   /// Per-publication time spent on lazy evaluation (LEES/CLEES), in seconds.
-  Summary lazy_eval;
+  OnlineStats lazy_eval;
   /// Per-publication time spent in the standard matcher, in seconds.
-  Summary match;
+  OnlineStats match;
 
   std::uint64_t evolutions = 0;        // VES version replacements
   std::uint64_t lazy_evaluations = 0;  // LEES/CLEES on-demand evaluations
@@ -334,20 +334,20 @@ class BrokerEngine {
   EvalScope scope_;
   std::vector<double> eval_stack_;
 
-  /// RAII timer recording into a Summary (seconds).
+  /// RAII timer recording into an OnlineStats (seconds).
   class ScopedTimer {
    public:
-    explicit ScopedTimer(Summary& target) noexcept
+    explicit ScopedTimer(OnlineStats& target) noexcept
         : target_(target), start_(std::chrono::steady_clock::now()) {}
     ~ScopedTimer() {
       const auto end = std::chrono::steady_clock::now();
-      target_.record(std::chrono::duration<double>(end - start_).count());
+      target_.add(std::chrono::duration<double>(end - start_).count());
     }
     ScopedTimer(const ScopedTimer&) = delete;
     ScopedTimer& operator=(const ScopedTimer&) = delete;
 
    private:
-    Summary& target_;
+    OnlineStats& target_;
     std::chrono::steady_clock::time_point start_;
   };
 

@@ -39,7 +39,7 @@ namespace evps {
 /// One materialised evolving-predicate bound (the CLEES TT cache and the
 /// hybrid's version store). `unbound` records that evaluation hit an unbound
 /// variable: such a predicate can never match, regardless of operator —
-/// mirroring Predicate::materialize's never-matching NaN-kLt version.
+/// like the never-matching `attr < NaN` version VES materialises.
 struct CachedBound {
   double bound = 0.0;
   bool unbound = false;

@@ -183,8 +183,8 @@ std::vector<Predicate> VesEngine::materialize_version(const EvolvingState& state
       } catch (const UnboundVariableError&) {
         unbound = true;
       }
-      // Mirror Predicate::materialize: an unbound variable yields a version
-      // that can never be satisfied.
+      // Fail closed: an unbound variable yields a version that can never be
+      // satisfied (NaN is incomparable and kLt never matches it).
       out.push_back(unbound ? Predicate{p.attribute(), RelOp::kLt, Value{std::nan("")}}
                             : Predicate{p.attribute(), p.op(), Value{value}});
     }

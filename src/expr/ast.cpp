@@ -6,14 +6,6 @@
 
 namespace evps {
 
-double MapEnv::lookup(std::string_view name) const {
-  const auto it = bindings_.find(name);
-  if (it == bindings_.end()) throw UnboundVariableError(name);
-  return it->second;
-}
-
-bool MapEnv::has(std::string_view name) const { return bindings_.contains(name); }
-
 std::string_view to_string(BinaryOp op) noexcept {
   switch (op) {
     case BinaryOp::kAdd: return "+";
@@ -123,67 +115,6 @@ ExprPtr Expr::call(CallFn fn, std::vector<ExprPtr> args) {
     if (!a) throw std::invalid_argument("call argument must not be null");
   }
   return ExprPtr(new Expr(Call{fn, std::move(args)}));
-}
-
-double Expr::eval(const Env& env) const {
-  return std::visit(
-      [&](const auto& n) -> double {
-        using T = std::decay_t<decltype(n)>;
-        if constexpr (std::is_same_v<T, Const>) {
-          return n.value;
-        } else if constexpr (std::is_same_v<T, Var>) {
-          return env.lookup(n.name);
-        } else if constexpr (std::is_same_v<T, Unary>) {
-          const double x = n.operand->eval(env);
-          switch (n.op) {
-            case UnaryOp::kNeg: return -x;
-            case UnaryOp::kAbs: return std::fabs(x);
-            case UnaryOp::kFloor: return std::floor(x);
-            case UnaryOp::kCeil: return std::ceil(x);
-            case UnaryOp::kSqrt: return std::sqrt(x);
-            case UnaryOp::kSin: return std::sin(x);
-            case UnaryOp::kCos: return std::cos(x);
-            case UnaryOp::kSign: return x < 0 ? -1.0 : (x > 0 ? 1.0 : 0.0);
-          }
-          return 0;
-        } else if constexpr (std::is_same_v<T, Binary>) {
-          const double a = n.lhs->eval(env);
-          const double b = n.rhs->eval(env);
-          switch (n.op) {
-            case BinaryOp::kAdd: return a + b;
-            case BinaryOp::kSub: return a - b;
-            case BinaryOp::kMul: return a * b;
-            case BinaryOp::kDiv: return a / b;
-            case BinaryOp::kMod: return std::fmod(a, b);
-            case BinaryOp::kPow: return std::pow(a, b);
-          }
-          return 0;
-        } else {
-          switch (n.fn) {
-            case CallFn::kMin: {
-              double m = n.args.front()->eval(env);
-              for (std::size_t i = 1; i < n.args.size(); ++i) m = std::min(m, n.args[i]->eval(env));
-              return m;
-            }
-            case CallFn::kMax: {
-              double m = n.args.front()->eval(env);
-              for (std::size_t i = 1; i < n.args.size(); ++i) m = std::max(m, n.args[i]->eval(env));
-              return m;
-            }
-            case CallFn::kClamp: {
-              const double x = n.args[0]->eval(env);
-              const double lo = n.args[1]->eval(env);
-              const double hi = n.args[2]->eval(env);
-              return std::min(std::max(x, lo), hi);
-            }
-            case CallFn::kStep: {
-              return n.args[0]->eval(env) < 0 ? 0.0 : 1.0;
-            }
-          }
-          return 0;
-        }
-      },
-      node_);
 }
 
 void Expr::collect_variables(std::set<std::string>& out) const {

@@ -6,15 +6,14 @@
 //     SubEv : { (a1 op1 fun1(v_a, v_b, ...)), ... }
 //
 // This module provides the function representation: an immutable expression
-// tree over doubles, with named variables resolved through an Env at
-// evaluation time. Trees are shared (shared_ptr<const Expr>) because the
-// same subscription expression is held simultaneously by routing tables on
-// several brokers and by the evolving engines.
+// tree over doubles with named variables. Trees are shared
+// (shared_ptr<const Expr>) because the same subscription expression is held
+// simultaneously by routing tables on several brokers and by the evolving
+// engines. Evaluation goes through the compiled form (expr/program.hpp),
+// which resolves the names to interned ids once.
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
-#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -28,41 +27,11 @@ namespace evps {
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
-/// Variable resolution interface used during evaluation.
-class Env {
- public:
-  virtual ~Env() = default;
-  /// Returns the current value of `name`, or throws UnboundVariableError.
-  [[nodiscard]] virtual double lookup(std::string_view name) const = 0;
-  /// True iff `name` is bound.
-  [[nodiscard]] virtual bool has(std::string_view name) const = 0;
-};
-
-/// Thrown when evaluation references a variable the Env does not bind.
+/// Thrown when evaluation references a variable the scope does not bind.
 class UnboundVariableError : public std::runtime_error {
  public:
   explicit UnboundVariableError(std::string_view name)
       : std::runtime_error("unbound evolution variable: " + std::string(name)) {}
-};
-
-/// Simple map-backed Env for tests and local evaluation.
-class MapEnv final : public Env {
- public:
-  MapEnv() = default;
-  MapEnv(std::initializer_list<std::pair<std::string, double>> init) {
-    for (auto& [k, v] : init) set(k, v);
-  }
-
-  MapEnv& set(std::string name, double value) {
-    bindings_.insert_or_assign(std::move(name), value);
-    return *this;
-  }
-
-  [[nodiscard]] double lookup(std::string_view name) const override;
-  [[nodiscard]] bool has(std::string_view name) const override;
-
- private:
-  std::map<std::string, double, std::less<>> bindings_;
 };
 
 enum class BinaryOp : std::uint8_t { kAdd, kSub, kMul, kDiv, kMod, kPow };
@@ -97,10 +66,6 @@ class Expr {
   [[nodiscard]] static ExprPtr sub(ExprPtr a, ExprPtr b) { return binary(BinaryOp::kSub, std::move(a), std::move(b)); }
   [[nodiscard]] static ExprPtr mul(ExprPtr a, ExprPtr b) { return binary(BinaryOp::kMul, std::move(a), std::move(b)); }
   [[nodiscard]] static ExprPtr div(ExprPtr a, ExprPtr b) { return binary(BinaryOp::kDiv, std::move(a), std::move(b)); }
-
-  /// Evaluate against an environment. Division by zero yields +/-inf like
-  /// IEEE; mod by zero yields NaN. Unbound variables throw.
-  [[nodiscard]] double eval(const Env& env) const;
 
   /// Collect the names of all variables referenced by this expression.
   void collect_variables(std::set<std::string>& out) const;

@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 
+#include "expr/program.hpp"
+
 namespace evps {
 namespace {
 
@@ -94,8 +96,7 @@ ExprPtr fold(ExprPtr e) {
   if (e->is_constant()) {
     // Already a literal? Keep as-is to avoid churning.
     if (std::holds_alternative<Expr::Const>(e->node())) return e;
-    const MapEnv empty;
-    const double value = e->eval(empty);
+    const double value = ExprProgram::compile(*e).eval(EvalScope{});
     if (!std::isfinite(value)) return e;
     return Expr::constant(value);
   }

@@ -1,18 +1,19 @@
-// Flat compiled form of evolution expressions.
+// Flat compiled form of evolution expressions — the library's only
+// expression evaluator.
 //
-// Tree-walking `Expr::eval` chases shared_ptr nodes and resolves every
-// variable by name — fine for the oracle, too slow for the per-publication
-// lazy-evaluation hot path (LEES/CLEES, paper Fig. 8). `ExprProgram` lowers
-// an `Expr` once, at subscription install time, into a contiguous postfix
-// instruction vector with variable operands pre-resolved to interned
-// `VarId`s. Evaluation is a single linear walk over the buffer with a small
-// caller-owned value stack: integer loads, no pointer chasing, no hashing,
-// and no heap allocation in steady state (the stack is reused across calls
-// and its required depth is precomputed by the compiler).
+// `ExprProgram` lowers an `Expr` once, at subscription install time, into a
+// contiguous postfix instruction vector with variable operands pre-resolved
+// to interned `VarId`s. Evaluation is a single linear walk over the buffer
+// with a small caller-owned value stack: integer loads, no pointer chasing,
+// no hashing, and no heap allocation in steady state (the stack is reused
+// across calls and its required depth is precomputed by the compiler). The
+// per-publication lazy-evaluation hot path (LEES/CLEES, paper Fig. 8), VES
+// version refresh and the parser's constant folding all run through it.
 //
-// The tree walker stays authoritative: compiled evaluation must agree with
-// `Expr::eval` bit-for-bit on the same scope, including unbound-variable
-// error behaviour (see tests/test_expr_compile.cpp).
+// A tree-walking evaluator lives only in the tests (tests/expr_oracle.hpp),
+// as the differential oracle: compiled evaluation must agree with it
+// bit-for-bit on the same scope, including unbound-variable error behaviour
+// (see tests/test_expr_compile.cpp).
 #pragma once
 
 #include <cstdint>
@@ -61,7 +62,8 @@ class ExprProgram {
 
   /// Evaluate against `scope` using `stack` as scratch (cleared on entry;
   /// grown to max_stack() once, then reused allocation-free). Throws
-  /// UnboundVariableError exactly when the tree walker would.
+  /// UnboundVariableError on the first unbound variable in evaluation
+  /// order.
   double eval(const EvalScope& scope, std::vector<double>& stack) const;
 
   /// Convenience for cold paths and tests: owns a transient stack.

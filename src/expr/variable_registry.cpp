@@ -145,18 +145,4 @@ bool EvalScope::has(VarId var) const noexcept {
   return registry_ != nullptr && registry_->get_at(var, now_).has_value();
 }
 
-double EvalScope::lookup(std::string_view name) const {
-  const VarId var = VariableTable::instance().find(name);
-  if (var != kInvalidVarId) return lookup(var);
-  // Never-interned names can still be the reserved `t` (interning is lazy).
-  if (name == kElapsedTimeVar) return (now_ - epoch_).count_seconds();
-  throw UnboundVariableError(name);
-}
-
-bool EvalScope::has(std::string_view name) const {
-  const VarId var = VariableTable::instance().find(name);
-  if (var != kInvalidVarId) return has(var);
-  return name == kElapsedTimeVar;
-}
-
 }  // namespace evps

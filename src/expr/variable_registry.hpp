@@ -148,16 +148,15 @@ class VariableRegistry {
   std::map<ListenerId, Listener> listeners_;
 };
 
-/// Env implementation combining a VariableRegistry snapshot-in-time with the
+/// Evaluation scope combining a VariableRegistry snapshot-in-time with the
 /// per-subscription elapsed-time variable and optional local overrides.
 ///
 /// Engines keep one EvalScope alive and *rebind* it per publication
 /// (`rebind`) and per evolving part (`set_epoch`): overrides live in an
 /// epoch-stamped dense slot array indexed by VarId, so rebinding invalidates
 /// them in O(1) without freeing memory, and steady-state evaluation performs
-/// no heap allocation. The string-keyed Env interface stays for the
-/// tree-walking oracle; compiled programs use the VarId fast path.
-class EvalScope final : public Env {
+/// no heap allocation. Compiled programs resolve variables by VarId.
+class EvalScope {
  public:
   EvalScope() noexcept = default;
 
@@ -188,13 +187,10 @@ class EvalScope final : public Env {
     return bind(VariableTable::instance().intern(name), value);
   }
 
-  /// VarId fast path used by compiled expression programs. Throws
-  /// UnboundVariableError like the string path.
+  /// Value of `var` under this scope: an override, else `t` from the
+  /// clock, else the registry value at `now`. Throws UnboundVariableError.
   [[nodiscard]] double lookup(VarId var) const;
   [[nodiscard]] bool has(VarId var) const noexcept;
-
-  [[nodiscard]] double lookup(std::string_view name) const override;
-  [[nodiscard]] bool has(std::string_view name) const override;
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] SimTime epoch() const noexcept { return epoch_; }

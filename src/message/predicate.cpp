@@ -58,36 +58,13 @@ Predicate::Predicate(std::string attribute, RelOp op, ExprPtr fun)
   // kept as (never-matching) expressions: a NaN Value would not round-trip
   // through the codec.
   if (f->is_constant()) {
-    const MapEnv empty;
-    const double value = f->eval(empty);
+    const double value = ExprProgram::compile(*f).eval(EvalScope{});
     if (std::isfinite(value)) operand_ = Value{value};
-  }
-}
-
-bool Predicate::matches(const Value& pub_value, const Env& env) const {
-  if (!is_evolving()) return matches(pub_value);
-  try {
-    return apply_rel_op(op_, pub_value, Value{fun()->eval(env)});
-  } catch (const UnboundVariableError&) {
-    // Fail closed: a variable the broker has not (yet) learned about makes
-    // the predicate unsatisfiable rather than crashing message processing.
-    return false;
   }
 }
 
 bool Predicate::matches(const Value& pub_value) const {
   return apply_rel_op(op_, pub_value, constant());
-}
-
-Predicate Predicate::materialize(const Env& env) const {
-  if (!is_evolving()) return *this;
-  try {
-    return Predicate{attribute_, op_, Value{fun()->eval(env)}};
-  } catch (const UnboundVariableError&) {
-    // Fail closed: materialise a version that can never be satisfied (NaN is
-    // incomparable, and the kLt operator never matches incomparable values).
-    return Predicate{attribute_, RelOp::kLt, Value{std::nan("")}};
-  }
 }
 
 std::set<std::string> Predicate::variables() const {
@@ -118,8 +95,8 @@ double CompiledPredicate::bound(const EvalScope& scope, std::vector<double>& sta
     unbound = false;
     return prog_.eval(scope, stack);
   } catch (const UnboundVariableError&) {
-    // Fail closed, mirroring Predicate::materialize: callers must treat an
-    // unbound bound as never-matching regardless of the operator.
+    // Fail closed: callers must treat an unbound bound as never-matching
+    // regardless of the operator.
     unbound = true;
     return std::nan("");
   }
@@ -130,8 +107,8 @@ bool CompiledPredicate::matches(const Value& pub_value, const EvalScope& scope,
   try {
     return apply_rel_op(op_, pub_value, Value{prog_.eval(scope, stack)});
   } catch (const UnboundVariableError&) {
-    // Fail closed like Predicate::matches: a variable the broker has not
-    // (yet) learned about makes the predicate unsatisfiable.
+    // Fail closed: a variable the broker has not (yet) learned about makes
+    // the predicate unsatisfiable rather than crashing message processing.
     return false;
   }
 }

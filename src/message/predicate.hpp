@@ -56,16 +56,9 @@ class Predicate {
   /// Evolving operand; only valid when is_evolving().
   [[nodiscard]] const ExprPtr& fun() const { return std::get<ExprPtr>(operand_); }
 
-  /// Evaluate against a publication attribute value. Static predicates
-  /// ignore `env`; evolving predicates evaluate their function under `env`.
-  [[nodiscard]] bool matches(const Value& pub_value, const Env& env) const;
-
-  /// Static-only fast path; requires !is_evolving().
+  /// Match a publication attribute value; requires !is_evolving() (evolving
+  /// predicates evaluate through CompiledPredicate).
   [[nodiscard]] bool matches(const Value& pub_value) const;
-
-  /// Produce the non-evolving version of this predicate under `env`
-  /// (VES/CLEES version materialisation). Static predicates return a copy.
-  [[nodiscard]] Predicate materialize(const Env& env) const;
 
   /// Variables referenced by the operand (empty for static predicates).
   [[nodiscard]] std::set<std::string> variables() const;
@@ -100,7 +93,7 @@ class CompiledPredicate {
                              bool& unbound) const;
 
   /// Evaluate against a publication value: pub_value OP program(scope).
-  /// Unbound variables fail closed, mirroring Predicate::matches.
+  /// Unbound variables fail closed (never match).
   [[nodiscard]] bool matches(const Value& pub_value, const EvalScope& scope,
                              std::vector<double>& stack) const;
 

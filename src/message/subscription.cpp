@@ -41,15 +41,6 @@ std::set<std::string> Subscription::variables() const {
   return out;
 }
 
-bool Subscription::matches(const Publication& pub, const Env& env) const {
-  if (predicates_.empty()) return false;
-  for (const auto& p : predicates_) {
-    const Value* v = pub.get(p.attr_id());
-    if (v == nullptr || !p.matches(*v, env)) return false;
-  }
-  return true;
-}
-
 bool Subscription::matches(const Publication& pub) const {
   if (predicates_.empty()) return false;
   for (const auto& p : predicates_) {
@@ -57,14 +48,6 @@ bool Subscription::matches(const Publication& pub) const {
     if (v == nullptr || !p.matches(*v)) return false;
   }
   return true;
-}
-
-Subscription Subscription::materialize(const Env& env) const {
-  Subscription out = *this;
-  out.predicates_.clear();
-  out.predicates_.reserve(predicates_.size());
-  for (const auto& p : predicates_) out.predicates_.push_back(p.materialize(env));
-  return out;
 }
 
 std::string Subscription::to_string() const {

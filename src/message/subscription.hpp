@@ -82,15 +82,9 @@ class Subscription {
 
   // --- evaluation ----------------------------------------------------------
   /// Full conjunctive match: every predicate's attribute must be present in
-  /// the publication and satisfied. Evolving predicates evaluate under `env`.
-  [[nodiscard]] bool matches(const Publication& pub, const Env& env) const;
-
-  /// Static-only fast path; requires !is_evolving().
+  /// the publication and satisfied. Requires !is_evolving() (evolving parts
+  /// are evaluated by the engines through CompiledPredicate).
   [[nodiscard]] bool matches(const Publication& pub) const;
-
-  /// Non-evolving version of this subscription under `env` (VES/CLEES).
-  /// Metadata (id, subscriber, epoch, mei/tt/validity) is preserved.
-  [[nodiscard]] Subscription materialize(const Env& env) const;
 
   /// Convenience: evaluation scope for this subscription at time `now`.
   [[nodiscard]] EvalScope scope(const VariableRegistry* registry, SimTime now) const noexcept {

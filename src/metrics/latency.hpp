@@ -7,15 +7,15 @@
 #include <map>
 
 #include "broker/overlay.hpp"
-#include "sim/stats.hpp"
+#include "stats/online_stats.hpp"
 
 namespace evps {
 
 /// Latency summary over every delivery recorded by the overlay's clients.
-[[nodiscard]] Summary collect_delivery_latency(const Overlay& overlay);
+[[nodiscard]] OnlineStats collect_delivery_latency(const Overlay& overlay);
 
 /// Per-client latency summaries (clients without deliveries are omitted).
-[[nodiscard]] std::map<ClientId, Summary> collect_delivery_latency_per_client(
+[[nodiscard]] std::map<ClientId, OnlineStats> collect_delivery_latency_per_client(
     const Overlay& overlay);
 
 }  // namespace evps

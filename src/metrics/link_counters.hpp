@@ -8,7 +8,7 @@
 
 #include <cstdint>
 
-#include "sim/stats.hpp"
+#include "stats/online_stats.hpp"
 
 namespace evps {
 
@@ -25,8 +25,8 @@ struct LinkBatchCounters {
   std::uint64_t barrier_flushes = 0;   ///< flushes forced by an unbatchable send
   std::uint64_t bytes = 0;             ///< codec bytes (only when measure_link_bytes)
   /// Events per flushed batch message (scalar sends are not recorded: the
-  /// histogram answers "how full are the batches we do form").
-  Histogram fill{{2, 4, 8, 16, 32, 64, 128, 256}};
+  /// moments answer "how full are the batches we do form").
+  OnlineStats fill;
 
   [[nodiscard]] std::uint64_t messages() const noexcept {
     return batch_messages + single_messages;
@@ -46,7 +46,7 @@ struct LinkBatchCounters {
     deadline_flushes += other.deadline_flushes;
     barrier_flushes += other.barrier_flushes;
     bytes += other.bytes;
-    fill.merge(other.fill);
+    fill.combine(other.fill);
   }
 
   void reset() { *this = LinkBatchCounters{}; }

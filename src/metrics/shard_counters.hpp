@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/stats.hpp"
+#include "stats/online_stats.hpp"
 
 namespace evps {
 
@@ -22,13 +22,13 @@ struct BatchCounters {
   std::uint64_t batches = 0;               ///< match_batch calls
   std::uint64_t batched_publications = 0;  ///< publications across all batches
   std::uint64_t max_batch = 0;             ///< largest batch seen
-  Summary batch_seconds;                   ///< wall time per batch
+  OnlineStats batch_seconds;               ///< wall time per batch
 
   void record(std::size_t batch_size, double seconds) noexcept {
     ++batches;
     batched_publications += batch_size;
     max_batch = std::max<std::uint64_t>(max_batch, batch_size);
-    batch_seconds.record(seconds);
+    batch_seconds.add(seconds);
   }
 
   [[nodiscard]] double mean_batch() const noexcept {

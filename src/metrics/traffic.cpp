@@ -31,9 +31,9 @@ std::string format_link_report(const LinkBatchCounters& c) {
                   static_cast<unsigned long long>(c.bytes));
     out += line;
   }
-  if (c.fill.summary().count() != 0) {
-    std::snprintf(line, sizeof(line), "  batch fill: mean %.1f, max %.0f, p99 %.0f\n",
-                  c.fill.summary().mean(), c.fill.summary().max(), c.fill.quantile(0.99));
+  if (c.fill.count() != 0) {
+    std::snprintf(line, sizeof(line), "  batch fill: mean %.1f, max %.0f\n", c.fill.mean(),
+                  c.fill.max());
     out += line;
   }
   return out;

@@ -125,7 +125,6 @@ void GameExperiment::build() {
   broker_cfg.engine.default_mei = cfg_.mei;
   broker_cfg.engine.default_tt = cfg_.tt;
   broker_cfg.engine.matcher_threads = cfg_.matcher_threads;
-  broker_cfg.batch_size = cfg_.batch_size;
   broker_cfg.link_batch_size = cfg_.link_batch_size;
   server_ = &overlay_.add_broker("gameserver", broker_cfg);
 

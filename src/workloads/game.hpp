@@ -58,8 +58,6 @@ struct GameConfig {
   // bit for bit; the sweep driver varies them to span the capacity matrix.
   /// Matcher shards/threads inside the game-server engine (0 = single shard).
   std::size_t matcher_threads = 0;
-  /// Publication batch size inside the broker (1 = no batching).
-  std::size_t batch_size = 1;
   /// Per-link outgoing batch size (0 = EVPS_LINK_BATCH env, default 1).
   std::size_t link_batch_size = 0;
 

@@ -56,7 +56,6 @@ void HftExperiment::build_topology() {
   broker_cfg.routing = cfg_.routing;
   broker_cfg.snapshot_consistency = cfg_.snapshot_consistency;
   broker_cfg.engine.matcher_threads = cfg_.matcher_threads;
-  broker_cfg.batch_size = cfg_.batch_size;
   broker_cfg.link_batch_size = cfg_.link_batch_size;
 
   if (is_centralized(cfg_.system)) {

@@ -80,8 +80,6 @@ struct HftConfig {
   RoutingMode routing = RoutingMode::kFlooding;
   /// Matcher shards/threads inside each broker engine (0 = single shard).
   std::size_t matcher_threads = 0;
-  /// Publication batch size inside each broker (1 = no batching).
-  std::size_t batch_size = 1;
   /// Per-link outgoing batch size (0 = EVPS_LINK_BATCH env, default 1).
   std::size_t link_batch_size = 0;
 };

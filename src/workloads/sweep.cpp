@@ -96,7 +96,6 @@ GameConfig game_profile(const SweepOptions& o, std::uint64_t seed) {
   cfg.seed = seed;
   cfg.matcher = o.matcher;
   cfg.matcher_threads = o.matcher_threads;
-  cfg.batch_size = o.batch_size;
   cfg.link_batch_size = o.link_batch_size;
   // Scaled-down profile: hundreds of replicas must fit in minutes on one
   // core, and capacity planning needs replica *count*, not replica size.
@@ -117,7 +116,6 @@ ReplicaMetrics run_game_replica(const SweepOptions& o, std::uint64_t seed) {
   GameConfig truth_cfg = cfg;
   truth_cfg.system = SystemKind::kGroundTruth;
   truth_cfg.matcher_threads = 0;
-  truth_cfg.batch_size = 1;
   truth_cfg.link_batch_size = 1;
   GameExperiment truth(truth_cfg);
   truth.run();
@@ -132,7 +130,6 @@ HftConfig hft_profile(const SweepOptions& o, std::uint64_t seed) {
   cfg.seed = seed;
   cfg.routing = o.routing;
   cfg.matcher_threads = o.matcher_threads;
-  cfg.batch_size = o.batch_size;
   cfg.link_batch_size = o.link_batch_size;
   cfg.clients = scaled(12, o.scale);
   cfg.stocks = scaled(40, o.scale);
@@ -153,7 +150,6 @@ ReplicaMetrics run_hft_replica(const SweepOptions& o, std::uint64_t seed) {
   HftConfig truth_cfg = cfg;
   truth_cfg.system = SystemKind::kGroundTruth;
   truth_cfg.matcher_threads = 0;
-  truth_cfg.batch_size = 1;
   truth_cfg.link_batch_size = 1;
   HftExperiment truth(truth_cfg);
   truth.run();
@@ -267,7 +263,6 @@ RunExtract run_rotated_overlay(const RotatedWorkload& w, const SweepOptions& o, 
   cfg.routing = RoutingMode::kAdvertisement;
   cfg.covering = !truth;
   cfg.relational_covering = !truth;
-  cfg.batch_size = truth ? 1 : o.batch_size;
   cfg.link_batch_size = truth ? 1 : o.link_batch_size;
 
   constexpr std::size_t kEdges = 3;

@@ -77,7 +77,6 @@ struct SweepOptions {
   /// routes by advertisement because covering needs it).
   RoutingMode routing = RoutingMode::kFlooding;
   std::size_t matcher_threads = 0;
-  std::size_t batch_size = 1;
   /// Per-link batching. 0 is resolved to 1 by run_sweep() so results never
   /// depend on the EVPS_LINK_BATCH environment override.
   std::size_t link_batch_size = 0;

@@ -21,6 +21,7 @@
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
 #include "expr/ast.hpp"
+#include "expr_oracle.hpp"
 #include "message/advertisement.hpp"
 #include "message/codec.hpp"
 #include "message/predicate.hpp"
@@ -80,14 +81,6 @@ bool same_bits(double a, double b) {
   std::memcpy(&ua, &a, sizeof a);
   std::memcpy(&ub, &b, sizeof b);
   return ua == ub || (std::isnan(a) && std::isnan(b));
-}
-
-bool matches_sub(const Subscription& sub, const Publication& pub, const EvalScope& scope) {
-  for (const Predicate& pred : sub.predicates()) {
-    const Value* v = pub.get(pred.attribute());
-    if (v == nullptr || !pred.matches(*v, scope)) return false;
-  }
-  return true;
 }
 
 TEST(AnalysisSoundness, VerdictsHoldOverSampledAssignments) {
@@ -193,7 +186,7 @@ TEST(AnalysisSoundness, VerdictsHoldOverSampledAssignments) {
           Publication pub;
           pub.set(kAttrs[0], Value{px});
           pub.set(kAttrs[1], Value{py});
-          const bool matched = matches_sub(sub, pub, scope);
+          const bool matched = oracle::matches(sub, pub, scope);
           if (analysis.verdict == Verdict::kUnsatisfiable) {
             ++never_probes;
             ASSERT_FALSE(matched) << "seed " << seed << " matched unsat sub at t=" << clock;
@@ -207,7 +200,7 @@ TEST(AnalysisSoundness, VerdictsHoldOverSampledAssignments) {
             }
           } else if (analysis.verdict == Verdict::kConstant) {
             ASSERT_TRUE(analysis.folded.has_value());
-            ASSERT_EQ(matched, matches_sub(*analysis.folded, pub, scope))
+            ASSERT_EQ(matched, oracle::matches(*analysis.folded, pub, scope))
                 << "seed " << seed << " fold diverges at t=" << clock;
           }
         }
@@ -218,7 +211,7 @@ TEST(AnalysisSoundness, VerdictsHoldOverSampledAssignments) {
           pub.set(kAttrs[1], Value{rng.uniform(ad_lo[1], ad_hi[1])});
           if (ad.covers(pub)) {
             ++never_probes;
-            ASSERT_FALSE(matches_sub(sub, pub, scope)) << "seed " << seed;
+            ASSERT_FALSE(oracle::matches(sub, pub, scope)) << "seed " << seed;
           }
         }
       }

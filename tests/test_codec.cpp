@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "expr_oracle.hpp"
+
 namespace evps {
 namespace {
 
@@ -62,9 +64,11 @@ TEST(PredicateCodec, StaticForms) {
 TEST(PredicateCodec, EvolvingForms) {
   const Predicate p = parse_predicate("x >= (-3 + t) * v");
   EXPECT_TRUE(p.is_evolving());
-  const MapEnv env{{"t", 1.0}, {"v", 0.5}};
-  EXPECT_TRUE(p.matches(Value{0}, env));    // 0 >= -1
-  EXPECT_FALSE(p.matches(Value{-2}, env));  // -2 >= -1 false
+  const EvalScope env = oracle::scope_of({{"t", 1.0}, {"v", 0.5}});
+  const CompiledPredicate cp{p};
+  std::vector<double> stack;
+  EXPECT_TRUE(cp.matches(Value{0}, env, stack));    // 0 >= -1
+  EXPECT_FALSE(cp.matches(Value{-2}, env, stack));  // -2 >= -1 false
 }
 
 TEST(PredicateCodec, NegativeLiteralIsStatic) {

@@ -6,6 +6,8 @@
 
 #include "common/rng.hpp"
 #include "expr/parser.hpp"
+#include "expr/program.hpp"
+#include "expr_oracle.hpp"
 #include "message/codec.hpp"
 
 namespace evps {
@@ -72,10 +74,13 @@ TEST_P(CodecRoundTrip, ExpressionPrintParse) {
     const ExprPtr twice = parse_expr(once->to_string());
     ASSERT_TRUE(once->equals(*twice)) << original->to_string();
 
-    const MapEnv env{{"t", 1.25}, {"v", 0.5}, {"mode", 1.0}, {"outgoingBw", 0.25},
-                     {"stockLevel", 0.75}};
-    const double a = original->eval(env);
-    const double b = once->eval(env);
+    const EvalScope env = oracle::scope_of({{"t", 1.25},
+                                            {"v", 0.5},
+                                            {"mode", 1.0},
+                                            {"outgoingBw", 0.25},
+                                            {"stockLevel", 0.75}});
+    const double a = ExprProgram::compile(original).eval(env);
+    const double b = ExprProgram::compile(once).eval(env);
     if (std::isnan(a)) {
       ASSERT_TRUE(std::isnan(b)) << original->to_string();
     } else if (std::isfinite(a)) {

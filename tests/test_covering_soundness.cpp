@@ -24,6 +24,7 @@
 #include "broker/audit_hook.hpp"
 #include "broker/overlay.hpp"
 #include "common/rng.hpp"
+#include "expr_oracle.hpp"
 #include "message/codec.hpp"
 
 namespace evps {
@@ -94,14 +95,6 @@ std::string random_sub_text(Rng& rng, int npreds, std::vector<double>& constants
     text += random_pred(rng, constants);
   }
   return text;
-}
-
-bool matches_sub(const Subscription& sub, const Publication& pub, const EvalScope& scope) {
-  for (const Predicate& pred : sub.predicates()) {
-    const Value* v = pub.get(pred.attribute());
-    if (v == nullptr || !pred.matches(*v, scope)) return false;
-  }
-  return true;
 }
 
 TEST(CoveringSoundness, KCoversNeverViolatedOverSampledAssignments) {
@@ -186,8 +179,8 @@ TEST(CoveringSoundness, KCoversNeverViolatedOverSampledAssignments) {
           }
           // py_mode == 2: attribute absent (presence matters for covering).
           ++probes;
-          if (matches_sub(b, pub, scope)) {
-            ASSERT_TRUE(matches_sub(a, pub, scope))
+          if (oracle::matches(b, pub, scope)) {
+            ASSERT_TRUE(oracle::matches(a, pub, scope))
                 << "seed " << seed << " t=" << clock << ": publication matches covered sub\n"
                 << "  A: " << a_text << "\n  B: " << b_text << "\n  pub: " << serialize(pub);
           }

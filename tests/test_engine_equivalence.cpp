@@ -10,6 +10,7 @@
 #include "evolving/clees_engine.hpp"
 #include "evolving/lees_engine.hpp"
 #include "evolving/ves_engine.hpp"
+#include "expr_oracle.hpp"
 #include "test_util.hpp"
 
 namespace evps {
@@ -198,8 +199,8 @@ INSTANTIATE_TEST_SUITE_P(RandomWorkloads, EngineEquivalence,
                                            Params{15, 40, 80}, Params{16, 1, 200}));
 
 // The engines evaluate install-time *compiled* programs; this oracle
-// re-evaluates the same predicates by walking the expression tree through
-// the string-keyed Env interface. Nonlinear operands (min/max/abs/sqrt/
+// re-evaluates the same predicates by walking the expression tree and
+// resolving each variable by name (expr_oracle.hpp). Nonlinear operands (min/max/abs/sqrt/
 // trig/pow and a sometimes-unbound variable) force every program opcode and
 // the unbound-variable fail-closed path through both pipelines.
 class CompiledVsTreeOracle : public ::testing::TestWithParam<std::uint64_t> {};
@@ -255,16 +256,9 @@ TEST_P(CompiledVsTreeOracle, LeesAndCleesAgreeWithTreeWalk) {
 
     std::vector<NodeId> expected;
     for (const auto& sub : subs) {
-      const EvalScope scope = sub->scope(&host.variables(), sim.now());
-      bool all = true;
-      for (const auto& p : sub->predicates()) {
-        const Value* value = pub.get(p.attribute());
-        if (value == nullptr || !p.matches(*value, scope)) {
-          all = false;
-          break;
-        }
+      if (oracle::matches(*sub, pub, sub->scope(&host.variables(), sim.now()))) {
+        expected.push_back(NodeId{sub->id().value()});
       }
-      if (all) expected.push_back(NodeId{sub->id().value()});
     }
     std::sort(expected.begin(), expected.end());
 

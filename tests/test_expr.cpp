@@ -1,27 +1,38 @@
+// Expression semantics, evaluated through the library's only evaluator: the
+// compiled ExprProgram.
 #include "expr/ast.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "expr/program.hpp"
+#include "expr_oracle.hpp"
+
 namespace evps {
 namespace {
 
+using oracle::scope_of;
+
+double eval(const ExprPtr& e, const EvalScope& scope = EvalScope{}) {
+  return ExprProgram::compile(e).eval(scope);
+}
+
 TEST(Expr, ConstantEval) {
-  const MapEnv env;
-  EXPECT_DOUBLE_EQ(Expr::constant(3.5)->eval(env), 3.5);
+  const EvalScope env;
+  EXPECT_DOUBLE_EQ(eval(Expr::constant(3.5), env), 3.5);
   EXPECT_TRUE(Expr::constant(1)->is_constant());
 }
 
 TEST(Expr, VariableEval) {
-  const MapEnv env{{"t", 4.0}};
-  EXPECT_DOUBLE_EQ(Expr::variable("t")->eval(env), 4.0);
+  const EvalScope env = scope_of({{"t", 4.0}});
+  EXPECT_DOUBLE_EQ(eval(Expr::variable("t"), env), 4.0);
   EXPECT_FALSE(Expr::variable("t")->is_constant());
 }
 
 TEST(Expr, UnboundVariableThrows) {
-  const MapEnv env;
-  EXPECT_THROW((void)Expr::variable("ghost")->eval(env), UnboundVariableError);
+  const EvalScope env;
+  EXPECT_THROW((void)eval(Expr::variable("ghost"), env), UnboundVariableError);
 }
 
 TEST(Expr, EmptyVariableNameRejected) {
@@ -29,45 +40,45 @@ TEST(Expr, EmptyVariableNameRejected) {
 }
 
 TEST(Expr, BinaryArithmetic) {
-  const MapEnv env{{"t", 2.0}};
+  const EvalScope env = scope_of({{"t", 2.0}});
   const auto t = Expr::variable("t");
-  EXPECT_DOUBLE_EQ(Expr::add(Expr::constant(1), t)->eval(env), 3.0);
-  EXPECT_DOUBLE_EQ(Expr::sub(Expr::constant(1), t)->eval(env), -1.0);
-  EXPECT_DOUBLE_EQ(Expr::mul(Expr::constant(3), t)->eval(env), 6.0);
-  EXPECT_DOUBLE_EQ(Expr::div(Expr::constant(5), t)->eval(env), 2.5);
-  EXPECT_DOUBLE_EQ(Expr::binary(BinaryOp::kMod, Expr::constant(7), t)->eval(env), 1.0);
-  EXPECT_DOUBLE_EQ(Expr::binary(BinaryOp::kPow, t, Expr::constant(10))->eval(env), 1024.0);
+  EXPECT_DOUBLE_EQ(eval(Expr::add(Expr::constant(1), t), env), 3.0);
+  EXPECT_DOUBLE_EQ(eval(Expr::sub(Expr::constant(1), t), env), -1.0);
+  EXPECT_DOUBLE_EQ(eval(Expr::mul(Expr::constant(3), t), env), 6.0);
+  EXPECT_DOUBLE_EQ(eval(Expr::div(Expr::constant(5), t), env), 2.5);
+  EXPECT_DOUBLE_EQ(eval(Expr::binary(BinaryOp::kMod, Expr::constant(7), t), env), 1.0);
+  EXPECT_DOUBLE_EQ(eval(Expr::binary(BinaryOp::kPow, t, Expr::constant(10)), env), 1024.0);
 }
 
 TEST(Expr, DivisionByZeroGivesInfinity) {
-  const MapEnv env;
-  const double r = Expr::div(Expr::constant(1), Expr::constant(0))->eval(env);
+  const EvalScope env;
+  const double r = eval(Expr::div(Expr::constant(1), Expr::constant(0)), env);
   EXPECT_TRUE(std::isinf(r));
 }
 
 TEST(Expr, UnaryFunctions) {
-  const MapEnv env{{"x", -2.25}};
+  const EvalScope env = scope_of({{"x", -2.25}});
   const auto x = Expr::variable("x");
-  EXPECT_DOUBLE_EQ(Expr::unary(UnaryOp::kNeg, x)->eval(env), 2.25);
-  EXPECT_DOUBLE_EQ(Expr::unary(UnaryOp::kAbs, x)->eval(env), 2.25);
-  EXPECT_DOUBLE_EQ(Expr::unary(UnaryOp::kFloor, x)->eval(env), -3.0);
-  EXPECT_DOUBLE_EQ(Expr::unary(UnaryOp::kCeil, x)->eval(env), -2.0);
-  EXPECT_DOUBLE_EQ(Expr::unary(UnaryOp::kSign, x)->eval(env), -1.0);
-  EXPECT_DOUBLE_EQ(Expr::unary(UnaryOp::kSqrt, Expr::constant(9))->eval(env), 3.0);
-  EXPECT_NEAR(Expr::unary(UnaryOp::kSin, Expr::constant(0))->eval(env), 0.0, 1e-12);
-  EXPECT_NEAR(Expr::unary(UnaryOp::kCos, Expr::constant(0))->eval(env), 1.0, 1e-12);
+  EXPECT_DOUBLE_EQ(eval(Expr::unary(UnaryOp::kNeg, x), env), 2.25);
+  EXPECT_DOUBLE_EQ(eval(Expr::unary(UnaryOp::kAbs, x), env), 2.25);
+  EXPECT_DOUBLE_EQ(eval(Expr::unary(UnaryOp::kFloor, x), env), -3.0);
+  EXPECT_DOUBLE_EQ(eval(Expr::unary(UnaryOp::kCeil, x), env), -2.0);
+  EXPECT_DOUBLE_EQ(eval(Expr::unary(UnaryOp::kSign, x), env), -1.0);
+  EXPECT_DOUBLE_EQ(eval(Expr::unary(UnaryOp::kSqrt, Expr::constant(9)), env), 3.0);
+  EXPECT_NEAR(eval(Expr::unary(UnaryOp::kSin, Expr::constant(0)), env), 0.0, 1e-12);
+  EXPECT_NEAR(eval(Expr::unary(UnaryOp::kCos, Expr::constant(0)), env), 1.0, 1e-12);
 }
 
 TEST(Expr, Calls) {
-  const MapEnv env{{"a", 5.0}, {"b", -3.0}};
+  const EvalScope env = scope_of({{"a", 5.0}, {"b", -3.0}});
   const auto a = Expr::variable("a");
   const auto b = Expr::variable("b");
-  EXPECT_DOUBLE_EQ(Expr::call(CallFn::kMin, {a, b})->eval(env), -3.0);
-  EXPECT_DOUBLE_EQ(Expr::call(CallFn::kMax, {a, b})->eval(env), 5.0);
+  EXPECT_DOUBLE_EQ(eval(Expr::call(CallFn::kMin, {a, b}), env), -3.0);
+  EXPECT_DOUBLE_EQ(eval(Expr::call(CallFn::kMax, {a, b}), env), 5.0);
   EXPECT_DOUBLE_EQ(
-      Expr::call(CallFn::kClamp, {a, Expr::constant(0), Expr::constant(2)})->eval(env), 2.0);
-  EXPECT_DOUBLE_EQ(Expr::call(CallFn::kStep, {b})->eval(env), 0.0);
-  EXPECT_DOUBLE_EQ(Expr::call(CallFn::kStep, {a})->eval(env), 1.0);
+      eval(Expr::call(CallFn::kClamp, {a, Expr::constant(0), Expr::constant(2)}), env), 2.0);
+  EXPECT_DOUBLE_EQ(eval(Expr::call(CallFn::kStep, {b}), env), 0.0);
+  EXPECT_DOUBLE_EQ(eval(Expr::call(CallFn::kStep, {a}), env), 1.0);
 }
 
 TEST(Expr, CallArityChecked) {
@@ -116,14 +127,15 @@ TEST(Expr, ToStringForms) {
             "min(a, b)");
 }
 
-TEST(MapEnv, SetAndHas) {
-  MapEnv env;
-  EXPECT_FALSE(env.has("x"));
-  env.set("x", 1.0);
-  EXPECT_TRUE(env.has("x"));
-  EXPECT_DOUBLE_EQ(env.lookup("x"), 1.0);
-  env.set("x", 2.0);  // overwrite
-  EXPECT_DOUBLE_EQ(env.lookup("x"), 2.0);
+TEST(EvalScope, BindAndOverwrite) {
+  EvalScope env;
+  const VarId x = VariableTable::instance().intern("x");
+  EXPECT_FALSE(env.has(x));
+  env.bind(x, 1.0);
+  EXPECT_TRUE(env.has(x));
+  EXPECT_DOUBLE_EQ(env.lookup(x), 1.0);
+  env.bind(x, 2.0);  // overwrite
+  EXPECT_DOUBLE_EQ(env.lookup(x), 2.0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Property tests: the flat ExprProgram produced by ExprProgram::compile must
-// be observationally identical to tree-walking Expr::eval — bit-for-bit equal
-// results (NaN included), the same left-to-right operand evaluation order,
-// and the same unbound-variable failure (same variable reported first).
+// be observationally identical to the tree-walking oracle (expr_oracle.hpp) —
+// bit-for-bit equal results (NaN included), the same left-to-right operand
+// evaluation order, and the same unbound-variable failure (same variable
+// reported first).
 //
 // Expressions are generated randomly over every node kind the AST offers,
 // with some variables deliberately left unbound, across >1000 seeds.
@@ -17,6 +18,7 @@
 #include "expr/ast.hpp"
 #include "expr/program.hpp"
 #include "expr/variable_registry.hpp"
+#include "expr_oracle.hpp"
 #include "message/predicate.hpp"
 
 namespace evps {
@@ -101,7 +103,7 @@ TEST(ExprCompile, MatchesTreeWalkAcrossRandomSeeds) {
       double tree = 0.0;
       std::string tree_error;
       try {
-        tree = expr->eval(scope);
+        tree = oracle::eval(*expr, scope);
       } catch (const UnboundVariableError& e) {
         tree_error = e.what();
       }
@@ -144,7 +146,7 @@ TEST(ExprCompile, UnboundVariableReportsFirstInEvaluationOrder) {
 
   std::string tree_error;
   try {
-    (void)expr->eval(scope);
+    (void)oracle::eval(*expr, scope);
   } catch (const UnboundVariableError& e) {
     tree_error = e.what();
   }
@@ -182,7 +184,7 @@ TEST(ExprCompile, EmptyProgramThrows) {
 
 TEST(ExprCompile, CompiledPredicateMirrorsMaterialize) {
   // Bound case, unbound case, and arithmetic-NaN case must all agree with
-  // Predicate::materialize + static matching.
+  // the oracle's materialize + static matching.
   VariableRegistry reg;
   reg.set("ec_a", 3.0, SimTime::zero());
   EvalScope scope{&reg, sec(2), SimTime::zero()};
@@ -203,7 +205,7 @@ TEST(ExprCompile, CompiledPredicateMirrorsMaterialize) {
   EXPECT_TRUE(unbound);
   // Unbound fails closed even for kNe (materialize would emit kLt vs NaN).
   EXPECT_FALSE(cu.matches(Value{1.0}, scope, stack));
-  EXPECT_FALSE(unbound_pred.materialize(scope).matches(Value{1.0}));
+  EXPECT_FALSE(oracle::materialize(unbound_pred, scope).matches(Value{1.0}));
 
   // 0/0 -> NaN with the operator kept: kNe matches (NaN is incomparable),
   // exactly like matching the materialized predicate.
@@ -213,7 +215,7 @@ TEST(ExprCompile, CompiledPredicateMirrorsMaterialize) {
   ASSERT_TRUE(nan_pred.is_evolving());
   const CompiledPredicate cn{nan_pred};
   EXPECT_TRUE(cn.matches(Value{1.0}, scope, stack));
-  EXPECT_TRUE(nan_pred.materialize(scope).matches(Value{1.0}));
+  EXPECT_TRUE(oracle::materialize(nan_pred, scope).matches(Value{1.0}));
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
-// Delivery latency metric, the broker load-monitor variable
-// (Section III-C overload self-protection), the shard/batch counters, and
-// the NaN/inf guards of the Summary/Histogram accumulators.
+// Delivery latency metric (and its NaN guard), the broker load-monitor
+// variable (Section III-C overload self-protection) and the shard/batch
+// counters.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "broker/overlay.hpp"
 #include "message/codec.hpp"
 #include "metrics/latency.hpp"
 #include "metrics/shard_counters.hpp"
-#include "sim/stats.hpp"
+#include "stats/online_stats.hpp"
 
 namespace evps {
 namespace {
@@ -33,7 +35,7 @@ TEST(Latency, SingleHopLatencyIsSubscriberLink) {
   feed.publish("x = 2");
   sim.run_until(sec(1));
 
-  const Summary latency = collect_delivery_latency(overlay);
+  const OnlineStats latency = collect_delivery_latency(overlay);
   ASSERT_EQ(latency.count(), 2u);
   // Entry time is stamped at the broker; only the subscriber link remains.
   EXPECT_NEAR(latency.mean(), 0.007, 1e-9);
@@ -56,7 +58,7 @@ TEST(Latency, MultiHopAccumulates) {
   feed.publish("x = 1");
   sim.run_until(sec(1));
 
-  const Summary latency = collect_delivery_latency(overlay);
+  const OnlineStats latency = collect_delivery_latency(overlay);
   ASSERT_EQ(latency.count(), 1u);
   // Two inter-broker hops (10 ms each) plus the subscriber link (1 ms).
   EXPECT_NEAR(latency.mean(), 0.021, 1e-9);
@@ -195,35 +197,76 @@ TEST(ShardCounters, BatchAccountingAndReport) {
   EXPECT_EQ(counters.batch_seconds.count(), 0u);
 }
 
-TEST(ShardCounters, EngineExposesOccupancyAndBatchCounters) {
+/// Edge -> hub overlay: the edge batches its forwards `edge_link_batch` wide,
+/// the hub runs four matcher shards. Two bursts (6 + 3 publications, each in
+/// one virtual instant) reach one subscriber on the hub.
+struct InboundBatchRun {
+  std::vector<std::size_t> occupancy;
+  BatchCounters batches;
+  std::uint64_t batch_envelopes = 0;  ///< PublishBatchMsg received by the hub
+  std::uint64_t batch_events = 0;     ///< publications those envelopes carried
+  std::vector<std::string> deliveries;
+};
+
+InboundBatchRun run_inbound_batches(std::size_t edge_link_batch) {
   Simulator sim;
   Overlay overlay{sim};
   BrokerConfig cfg;
   cfg.engine.kind = EngineKind::kLees;
+  cfg.link_batch_size = edge_link_batch;
+  Broker& edge = overlay.add_broker("edge", cfg);
   cfg.engine.matcher_threads = 4;
-  cfg.batch_size = 4;
-  Broker& broker = overlay.add_broker("b", cfg);
+  cfg.link_batch_size = 1;
+  Broker& hub = overlay.add_broker("hub", cfg);
+  Broker::connect(edge, hub, Duration::millis(5));
   auto& sub = overlay.add_client("sub");
   auto& feed = overlay.add_client("feed");
-  sub.connect(broker, Duration::millis(1));
-  feed.connect(broker, Duration::millis(1));
+  sub.connect(hub, Duration::millis(1));
+  feed.connect(edge, Duration::millis(1));
+
+  InboundBatchRun r;
+  overlay.network().add_tap([&](const Envelope& env, SimTime) {
+    if (env.to == hub.node_id() && std::holds_alternative<PublishBatchMsg>(env.msg)) {
+      ++r.batch_envelopes;
+      r.batch_events += publications_carried(env.msg);
+    }
+  });
   sub.subscribe("x >= 0");
   sub.subscribe("y >= 0");
   sim.run_until(sec(0.1));
   for (int i = 0; i < 6; ++i) feed.publish("x = " + std::to_string(i));
+  sim.run_until(sec(0.2));
+  for (int i = 0; i < 3; ++i) feed.publish("y = " + std::to_string(i));
   sim.run_all();
 
-  const auto occupancy = broker.engine().shard_occupancy();
-  ASSERT_EQ(occupancy.size(), 4u);
+  r.occupancy = hub.engine().shard_occupancy();
+  r.batches = hub.engine().batch_counters();
+  for (const auto& d : sub.deliveries()) {
+    r.deliveries.push_back(std::to_string(d.when.micros()) + ":" + serialize(d.pub));
+  }
+  return r;
+}
+
+TEST(ShardCounters, EngineExposesOccupancyAndBatchCounters) {
+  const InboundBatchRun base = run_inbound_batches(1);
+  const InboundBatchRun got = run_inbound_batches(64);
+
+  ASSERT_EQ(got.occupancy.size(), 4u);
   std::size_t total = 0;
-  for (std::size_t s : occupancy) total += s;
+  for (std::size_t s : got.occupancy) total += s;
   EXPECT_EQ(total, 2u);
-  // All six snapshot-free publications went through the batch path.
-  const auto& batches = broker.engine().batch_counters();
-  EXPECT_GT(batches.batches, 0u);
-  EXPECT_EQ(batches.batched_publications, 6u);
-  EXPECT_LE(batches.max_batch, 4u);
-  EXPECT_EQ(sub.deliveries().size(), 6u);
+  // One match_batch call per inbound link batch, carrying exactly its
+  // publications; the per-message baseline never batches.
+  EXPECT_EQ(got.batch_envelopes, 2u);
+  EXPECT_EQ(got.batches.batches, got.batch_envelopes);
+  EXPECT_EQ(got.batches.batched_publications, got.batch_events);
+  EXPECT_EQ(got.batches.batched_publications, 9u);
+  EXPECT_EQ(got.batches.max_batch, 6u);
+  EXPECT_EQ(base.batch_envelopes, 0u);
+  EXPECT_EQ(base.batches.batches, 0u);
+  // Batched matching delivers exactly what the per-message path delivers.
+  EXPECT_EQ(got.deliveries.size(), 9u);
+  EXPECT_EQ(got.deliveries, base.deliveries);
 }
 
 TEST(LoadMonitorLifetime, ReturnedHandleCancelsEarly) {
@@ -238,66 +281,13 @@ TEST(LoadMonitorLifetime, ReturnedHandleCancelsEarly) {
   EXPECT_LT(sim.now(), sec(3));  // no further occurrences were scheduled
 }
 
-TEST(SummaryGuard, EmptyAndSingleSample) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-  s.record(4.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-  EXPECT_EQ(s.variance(), 0.0);  // undefined below two samples
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(SummaryGuard, NonFiniteSamplesAreRejectedNotAbsorbed) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  Summary s;
-  s.record(1.0);
-  s.record(kNaN);
-  s.record(kInf);
-  s.record(-kInf);
-  s.record(3.0);
-  EXPECT_EQ(s.count(), 2u);
-  EXPECT_EQ(s.rejected(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-  EXPECT_TRUE(std::isfinite(s.variance()));
-
-  Summary other;
-  other.record(kNaN);
-  s.merge(other);
-  EXPECT_EQ(s.count(), 2u);
-  EXPECT_EQ(s.rejected(), 4u);  // merge carries the rejection count
-}
-
-TEST(HistogramGuard, NonFiniteSamplesTouchNoBucket) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  Histogram h{{1.0, 2.0}};
-  h.record(kNaN);
-  h.record(std::numeric_limits<double>::infinity());
-  for (const std::uint64_t c : h.counts()) EXPECT_EQ(c, 0u);
-  EXPECT_EQ(h.summary().count(), 0u);
-  EXPECT_EQ(h.summary().rejected(), 2u);
-
-  h.record(0.5);
-  h.record(kNaN);
-  EXPECT_EQ(h.counts()[0], 1u);
-  EXPECT_EQ(h.summary().count(), 1u);
-  EXPECT_EQ(h.summary().rejected(), 3u);
-  EXPECT_DOUBLE_EQ(h.summary().mean(), 0.5);
-}
-
-TEST(SummaryGuard, LatencyAccumulatorSurvivesCorruptSample) {
-  // The delivery-latency collector runs on Summary; a poisoned sample must
-  // not wipe the aggregate (the statistical-testing hardening contract).
-  Summary latency;
-  latency.record(0.002);
-  latency.record(std::numeric_limits<double>::quiet_NaN());
-  latency.record(0.004);
+TEST(Latency, AccumulatorSurvivesCorruptSample) {
+  // The delivery-latency collector runs on OnlineStats; a poisoned sample
+  // must not wipe the aggregate (the statistical-testing hardening contract).
+  OnlineStats latency;
+  latency.add(0.002);
+  latency.add(std::numeric_limits<double>::quiet_NaN());
+  latency.add(0.004);
   EXPECT_EQ(latency.count(), 2u);
   EXPECT_EQ(latency.rejected(), 1u);
   EXPECT_DOUBLE_EQ(latency.mean(), 0.003);

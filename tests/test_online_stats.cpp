@@ -51,6 +51,40 @@ TEST(OnlineStats, RejectsNonFinite) {
   EXPECT_DOUBLE_EQ(s.max(), 3.0);
 }
 
+TEST(OnlineStats, SumCountsOnlyAcceptedSamples) {
+  OnlineStats s;
+  EXPECT_EQ(s.sum(), 0.0);
+  for (const double x : {1.0, 2.0, kNaN, 3.0, 4.0}) s.add(x);
+  EXPECT_DOUBLE_EQ(s.sum(), 10.0);
+  OnlineStats other;
+  other.add(10.0);
+  s.combine(other);
+  EXPECT_DOUBLE_EQ(s.sum(), 20.0);
+}
+
+TEST(OnlineStats, ResetClearsEverything) {
+  OnlineStats s;
+  s.add(5.0);
+  s.add(kInf);
+  s.reset();
+  EXPECT_EQ(s.count(), 0u);
+  EXPECT_EQ(s.rejected(), 0u);
+  EXPECT_EQ(s.sum(), 0.0);
+  EXPECT_EQ(s.max(), 0.0);
+  s.add(-2.0);
+  EXPECT_DOUBLE_EQ(s.min(), -2.0);  // min/max restart from the new sample
+  EXPECT_DOUBLE_EQ(s.max(), -2.0);
+}
+
+TEST(OnlineStats, VarianceSurvivesLargeOffset) {
+  // The sum-of-squares formula cancels catastrophically here (x^2 ~ 1e18
+  // exceeds the 2^53 exactly-representable range); Welford does not.
+  OnlineStats s;
+  for (const double x : {1e9 + 1, 1e9 + 2, 1e9 + 3}) s.add(x);
+  EXPECT_DOUBLE_EQ(s.mean(), 1e9 + 2);
+  EXPECT_DOUBLE_EQ(s.variance(), 1.0);
+}
+
 TEST(OnlineStats, CombinePropagatesRejected) {
   OnlineStats a, b;
   a.add(kNaN);

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "expr/program.hpp"
+#include "expr_oracle.hpp"
+
 namespace evps {
 namespace {
 
-double eval(std::string_view text, const MapEnv& env = MapEnv{}) {
-  return parse_expr(text)->eval(env);
+using oracle::scope_of;
+
+double eval(std::string_view text, const EvalScope& env = EvalScope{}) {
+  return ExprProgram::compile(parse_expr(text)).eval(env);
 }
 
 TEST(Parser, Numbers) {
@@ -34,7 +39,7 @@ TEST(Parser, UnaryMinus) {
 }
 
 TEST(Parser, Variables) {
-  const MapEnv env{{"t", 3.0}, {"v", 0.5}};
+  const EvalScope env = scope_of({{"t", 3.0}, {"v", 0.5}});
   EXPECT_DOUBLE_EQ(eval("2 * t", env), 6.0);
   EXPECT_DOUBLE_EQ(eval("(3 + t) * v", env), 3.0);
   EXPECT_DOUBLE_EQ(eval("t + t * v", env), 4.5);
@@ -42,13 +47,13 @@ TEST(Parser, Variables) {
 
 TEST(Parser, PaperExampleSubscriptionBounds) {
   // Section III-C: { x >= (-3 + t) * v } at t = 1, v = 0.5.
-  const MapEnv env{{"t", 1.0}, {"v", 0.5}};
+  const EvalScope env = scope_of({{"t", 1.0}, {"v", 0.5}});
   EXPECT_DOUBLE_EQ(eval("(-3 + t) * v", env), -1.0);
   EXPECT_DOUBLE_EQ(eval("(3 + t) * v", env), 2.0);
 }
 
 TEST(Parser, Functions) {
-  const MapEnv env{{"x", -4.0}};
+  const EvalScope env = scope_of({{"x", -4.0}});
   EXPECT_DOUBLE_EQ(eval("abs(x)", env), 4.0);
   EXPECT_DOUBLE_EQ(eval("min(1, 2, -3)"), -3.0);
   EXPECT_DOUBLE_EQ(eval("max(1, 2, -3)"), 2.0);

@@ -2,10 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "expr/parser.hpp"
+#include "expr_oracle.hpp"
 
 namespace evps {
 namespace {
+
+using oracle::scope_of;
+
+/// pub_value OP fun(scope), through the compiled form the engines run.
+bool matches(const Predicate& p, const Value& pub_value, const EvalScope& scope) {
+  std::vector<double> stack;
+  return CompiledPredicate{p}.matches(pub_value, scope, stack);
+}
 
 TEST(RelOp, ToStringAndParse) {
   for (const RelOp op : {RelOp::kLt, RelOp::kLe, RelOp::kGt, RelOp::kGe, RelOp::kEq, RelOp::kNe}) {
@@ -54,9 +65,9 @@ TEST(Predicate, StringEquality) {
 TEST(Predicate, EvolvingMatch) {
   const Predicate p{"x", RelOp::kLt, parse_expr("2 * t")};
   EXPECT_TRUE(p.is_evolving());
-  const MapEnv env{{"t", 3.0}};
-  EXPECT_TRUE(p.matches(Value{5}, env));   // 5 < 6
-  EXPECT_FALSE(p.matches(Value{7}, env));  // 7 < 6 is false
+  const EvalScope env = scope_of({{"t", 3.0}});
+  EXPECT_TRUE(matches(p, Value{5}, env));   // 5 < 6
+  EXPECT_FALSE(matches(p, Value{7}, env));  // 7 < 6 is false
 }
 
 TEST(Predicate, ConstantFunctionDegeneratesToStatic) {
@@ -72,8 +83,8 @@ TEST(Predicate, NullFunctionRejected) {
 
 TEST(Predicate, Materialize) {
   const Predicate p{"x", RelOp::kGe, parse_expr("-3 + t")};
-  const MapEnv env{{"t", 1.0}};
-  const Predicate version = p.materialize(env);
+  const EvalScope env = scope_of({{"t", 1.0}});
+  const Predicate version = oracle::materialize(p, env);
   EXPECT_FALSE(version.is_evolving());
   EXPECT_DOUBLE_EQ(version.constant().as_double(), -2.0);
   EXPECT_EQ(version.attribute(), "x");
@@ -81,7 +92,7 @@ TEST(Predicate, Materialize) {
 
   // Static predicates materialise to themselves.
   const Predicate s{"y", RelOp::kEq, Value{7}};
-  EXPECT_EQ(s.materialize(env), s);
+  EXPECT_EQ(oracle::materialize(s, env), s);
 }
 
 TEST(Predicate, Variables) {
@@ -111,10 +122,16 @@ TEST(Predicate, EqualityAndToString) {
 
 TEST(Predicate, UnboundVariableFailsClosed) {
   const Predicate p{"x", RelOp::kGe, parse_expr("10 * ghost")};
-  const MapEnv empty;
-  EXPECT_FALSE(p.matches(Value{1'000'000}, empty));  // no crash, no match
+  const EvalScope empty;
+  EXPECT_FALSE(matches(p, Value{1'000'000}, empty));  // no crash, no match
 
-  const Predicate version = p.materialize(empty);
+  // The compiled bound reports the unbound variable instead of throwing.
+  std::vector<double> stack;
+  bool unbound = false;
+  EXPECT_TRUE(std::isnan(CompiledPredicate{p}.bound(empty, stack, unbound)));
+  EXPECT_TRUE(unbound);
+
+  const Predicate version = oracle::materialize(p, empty);
   EXPECT_FALSE(version.is_evolving());
   EXPECT_FALSE(version.matches(Value{1'000'000}));
   EXPECT_FALSE(version.matches(Value{-1'000'000}));
@@ -126,22 +143,21 @@ TEST(Predicate, NonFiniteConstantExpressionStaysEvolvingAndNeverMatches) {
   // round-trip), and the comparison never satisfies an ordering operator.
   const Predicate p{"x", RelOp::kLt, parse_expr("sqrt(0 - 1)")};
   EXPECT_TRUE(p.is_evolving());
-  const MapEnv empty;
-  EXPECT_FALSE(p.matches(Value{0}, empty));
+  EXPECT_FALSE(matches(p, Value{0}, EvalScope{}));
 }
 
 TEST(Predicate, PaperGameExample) {
   // Section III-C: publication (x,4) vs subscription {x >= -3 + t, x <= 3 + t}.
   const Predicate lo{"x", RelOp::kGe, parse_expr("-3 + t")};
   const Predicate hi{"x", RelOp::kLe, parse_expr("3 + t")};
-  const MapEnv at0{{"t", 0.0}};
-  const MapEnv at1{{"t", 1.0}};
+  const EvalScope at0 = scope_of({{"t", 0.0}});
+  const EvalScope at1 = scope_of({{"t", 1.0}});
   // At t=0 the publication x=4 does not match (4 <= 3 fails).
-  EXPECT_TRUE(lo.matches(Value{4}, at0));
-  EXPECT_FALSE(hi.matches(Value{4}, at0));
+  EXPECT_TRUE(matches(lo, Value{4}, at0));
+  EXPECT_FALSE(matches(hi, Value{4}, at0));
   // At t=1 it matches: 4 >= -2 and 4 <= 4.
-  EXPECT_TRUE(lo.matches(Value{4}, at1));
-  EXPECT_TRUE(hi.matches(Value{4}, at1));
+  EXPECT_TRUE(matches(lo, Value{4}, at1));
+  EXPECT_TRUE(matches(hi, Value{4}, at1));
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 
 #include "analysis/covering.hpp"
 #include "common/rng.hpp"
+#include "expr_oracle.hpp"
 #include "message/codec.hpp"
 
 namespace evps {
@@ -101,14 +102,6 @@ void moving_zone_pair(Rng& rng, std::string& a_text, std::string& b_text,
     << num(c + wb);
   a_text = a.str();
   b_text = b.str();
-}
-
-bool matches_sub(const Subscription& sub, const Publication& pub, const EvalScope& scope) {
-  for (const Predicate& pred : sub.predicates()) {
-    const Value* v = pub.get(pred.attribute());
-    if (v == nullptr || !pred.matches(*v, scope)) return false;
-  }
-  return true;
 }
 
 TEST(RelationalSoundness, NoFalseKCoversOverSeededSweep) {
@@ -223,8 +216,8 @@ TEST(RelationalSoundness, NoFalseKCoversOverSeededSweep) {
             pub.set(kAttrs[1], Value{rng.uniform(-80.0, 80.0)});
           }
           ++probes;
-          if (matches_sub(b, pub, scope_b)) {
-            ASSERT_TRUE(matches_sub(a, pub, scope_a))
+          if (oracle::matches(b, pub, scope_b)) {
+            ASSERT_TRUE(oracle::matches(a, pub, scope_a))
                 << "seed " << seed << " t=" << clock << ": publication matches covered sub\n"
                 << "  A: " << a_text << "\n  B: " << b_text << "\n  pub: " << serialize(pub)
                 << (relational_only != 0U ? "\n  (relational-only verdict)" : "");

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
 namespace evps {
 namespace {
 
@@ -57,6 +61,69 @@ TEST(Join, Basics) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");
   EXPECT_EQ(join({"solo"}, ","), "solo");
+}
+
+TEST(ParseNumber, UnsignedIntegersUseTheFieldsFullRange) {
+  std::uint64_t u = 7;
+  EXPECT_TRUE(parse_number("0", u));
+  EXPECT_EQ(u, 0u);
+  EXPECT_TRUE(parse_number("18446744073709551615", u));
+  EXPECT_EQ(u, std::numeric_limits<std::uint64_t>::max());
+  // Exact above 2^53, where a round trip through double would round.
+  EXPECT_TRUE(parse_number("9007199254740993", u));
+  EXPECT_EQ(u, 9007199254740993u);
+  std::size_t n = 0;
+  EXPECT_TRUE(parse_number("200", n));
+  EXPECT_EQ(n, 200u);
+}
+
+TEST(ParseNumber, IntegersRejectSignFractionExponentTrailingTextAndOverflow) {
+  for (const char* bad : {"", "-1", "+1", "-0", "2.7", "1e3", "nan", "inf", " 1", "1 ", "12x",
+                          "0x10", "18446744073709551616", "99999999999999999999999"}) {
+    std::uint64_t u = 7;
+    EXPECT_FALSE(parse_number(bad, u)) << "'" << bad << "'";
+    EXPECT_EQ(u, 7u) << "failed parses leave the field untouched";
+  }
+  int i = 7;
+  EXPECT_FALSE(parse_number("-3", i));  // no sign even where the type has one
+  EXPECT_FALSE(parse_number("2147483648", i));
+  EXPECT_TRUE(parse_number("2147483647", i));
+  EXPECT_EQ(i, 2147483647);
+}
+
+TEST(ParseNumber, DoublesMustBeWholeAndFinite) {
+  double d = 0;
+  EXPECT_TRUE(parse_number("2.5", d));
+  EXPECT_EQ(d, 2.5);
+  EXPECT_TRUE(parse_number("-0.5", d));
+  EXPECT_EQ(d, -0.5);
+  EXPECT_TRUE(parse_number("1e-3", d));
+  EXPECT_EQ(d, 1e-3);
+  EXPECT_TRUE(parse_number("5", d));
+  EXPECT_EQ(d, 5.0);
+  for (const char* bad : {"", "nan", "NaN", "inf", "-inf", "1e999", "1.5x", " 1", "1 ", "+1",
+                          "--1"}) {
+    double v = 3.0;
+    EXPECT_FALSE(parse_number(bad, v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 3.0);
+  }
+}
+
+TEST(ParseNumberFlag, MatchesPrefixThenParsesOrThrows) {
+  std::size_t workers = 1;
+  EXPECT_FALSE(parse_number_flag("--replicas=4", "--workers=", workers));
+  EXPECT_EQ(workers, 1u);
+  EXPECT_TRUE(parse_number_flag("--workers=4", "--workers=", workers));
+  EXPECT_EQ(workers, 4u);
+  EXPECT_THROW((void)parse_number_flag("--workers=-3", "--workers=", workers),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_number_flag("--workers=", "--workers=", workers),
+               std::invalid_argument);
+  double settle = 5.0;
+  EXPECT_THROW((void)parse_number_flag("--settle=nan", "--settle=", settle),
+               std::invalid_argument);
+  EXPECT_EQ(workers, 4u);
+  EXPECT_EQ(settle, 5.0);
 }
 
 }  // namespace

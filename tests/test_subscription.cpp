@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "expr/parser.hpp"
+#include "expr_oracle.hpp"
 
 namespace evps {
 namespace {
+
+using oracle::scope_of;
 
 Subscription game_subscription() {
   // Section III-C: 6x4 rectangle moving with t.
@@ -53,25 +56,24 @@ TEST(Subscription, Variables) {
 
 TEST(Subscription, MatchesConjunction) {
   const Subscription sub = game_subscription();
-  const MapEnv at1{{"t", 1.0}};
-  const MapEnv at0{{"t", 0.0}};
+  const EvalScope at1 = scope_of({{"t", 1.0}});
+  const EvalScope at0 = scope_of({{"t", 0.0}});
   const Publication pickup{{"x", Value{4}}, {"y", Value{3}}};
   // The paper's example: matches at t=1, not at t=0.
-  EXPECT_TRUE(sub.matches(pickup, at1));
-  EXPECT_FALSE(sub.matches(pickup, at0));
+  EXPECT_TRUE(oracle::matches(sub, pickup, at1));
+  EXPECT_FALSE(oracle::matches(sub, pickup, at0));
 }
 
 TEST(Subscription, MissingAttributeFailsMatch) {
   const Subscription sub = game_subscription();
-  const MapEnv at1{{"t", 1.0}};
   const Publication no_y{{"x", Value{0}}};
-  EXPECT_FALSE(sub.matches(no_y, at1));
+  EXPECT_FALSE(oracle::matches(sub, no_y, scope_of({{"t", 1.0}})));
 }
 
 TEST(Subscription, EmptySubscriptionNeverMatches) {
   const Subscription sub;
-  const MapEnv env;
-  EXPECT_FALSE(sub.matches(Publication{{"x", Value{1}}}, env));
+  EXPECT_FALSE(oracle::matches(sub, Publication{{"x", Value{1}}}, EvalScope{}));
+  EXPECT_FALSE(sub.matches(Publication{{"x", Value{1}}}));
 }
 
 TEST(Subscription, StaticFastPath) {
@@ -91,8 +93,7 @@ TEST(Subscription, MaterializePreservesMetadata) {
   sub.set_validity(Duration::seconds(10));
   sub.set_epoch(SimTime::from_seconds(100));
 
-  const MapEnv at2{{"t", 2.0}};
-  const Subscription version = sub.materialize(at2);
+  const Subscription version = oracle::materialize(sub, scope_of({{"t", 2.0}}));
   EXPECT_FALSE(version.is_evolving());
   EXPECT_EQ(version.id(), SubscriptionId{42});
   EXPECT_EQ(version.subscriber(), ClientId{3});
@@ -109,7 +110,7 @@ TEST(Subscription, ScopeBindsElapsedTime) {
   Subscription sub = game_subscription();
   sub.set_epoch(SimTime::from_seconds(10));
   const EvalScope scope = sub.scope(nullptr, SimTime::from_seconds(11));
-  EXPECT_DOUBLE_EQ(scope.lookup("t"), 1.0);
+  EXPECT_DOUBLE_EQ(scope.lookup(elapsed_time_var_id()), 1.0);
 }
 
 TEST(Subscription, DefaultDurations) {

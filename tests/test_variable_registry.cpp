@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "expr/parser.hpp"
+#include "expr/program.hpp"
 
 namespace evps {
 namespace {
 
 SimTime sec(double s) { return SimTime::from_seconds(s); }
+
+VarId id(std::string_view name) { return VariableTable::instance().intern(name); }
 
 TEST(VariableRegistry, UnknownVariable) {
   const VariableRegistry reg;
@@ -92,8 +95,8 @@ TEST(VariableRegistry, ListenerFiresOnSet) {
 
 TEST(EvalScope, ElapsedTimeVariable) {
   const EvalScope scope{nullptr, sec(12), sec(10)};
-  EXPECT_TRUE(scope.has("t"));
-  EXPECT_DOUBLE_EQ(scope.lookup("t"), 2.0);
+  EXPECT_TRUE(scope.has(id("t")));
+  EXPECT_DOUBLE_EQ(scope.lookup(id("t")), 2.0);
 }
 
 TEST(EvalScope, RegistryLookupAtNow) {
@@ -102,8 +105,8 @@ TEST(EvalScope, RegistryLookupAtNow) {
   reg.set("v", 0.5, sec(10));
   const EvalScope early{&reg, sec(5), sec(0)};
   const EvalScope late{&reg, sec(15), sec(0)};
-  EXPECT_DOUBLE_EQ(early.lookup("v"), 1.0);
-  EXPECT_DOUBLE_EQ(late.lookup("v"), 0.5);
+  EXPECT_DOUBLE_EQ(early.lookup(id("v")), 1.0);
+  EXPECT_DOUBLE_EQ(late.lookup(id("v")), 0.5);
 }
 
 TEST(EvalScope, OverridesShadowEverything) {
@@ -111,14 +114,14 @@ TEST(EvalScope, OverridesShadowEverything) {
   reg.set("v", 1.0, sec(0));
   EvalScope scope{&reg, sec(5), sec(0)};
   scope.bind("v", 0.25).bind("t", 100.0);
-  EXPECT_DOUBLE_EQ(scope.lookup("v"), 0.25);
-  EXPECT_DOUBLE_EQ(scope.lookup("t"), 100.0);  // even `t` can be pinned (snapshots)
+  EXPECT_DOUBLE_EQ(scope.lookup(id("v")), 0.25);
+  EXPECT_DOUBLE_EQ(scope.lookup(id("t")), 100.0);  // even `t` can be pinned (snapshots)
 }
 
 TEST(EvalScope, UnboundThrows) {
   const EvalScope scope{nullptr, sec(1), sec(0)};
-  EXPECT_FALSE(scope.has("v"));
-  EXPECT_THROW((void)scope.lookup("v"), UnboundVariableError);
+  EXPECT_FALSE(scope.has(id("v")));
+  EXPECT_THROW((void)scope.lookup(id("v")), UnboundVariableError);
 }
 
 TEST(EvalScope, WorksWithParsedExpressions) {
@@ -126,7 +129,7 @@ TEST(EvalScope, WorksWithParsedExpressions) {
   reg.set("v", 0.5, sec(0));
   const EvalScope scope{&reg, sec(1), sec(0)};
   // Paper example: (3 + t) * v at t=1, v=0.5.
-  EXPECT_DOUBLE_EQ(parse_expr("(3 + t) * v")->eval(scope), 2.0);
+  EXPECT_DOUBLE_EQ(ExprProgram::compile(parse_expr("(3 + t) * v")).eval(scope), 2.0);
 }
 
 }  // namespace

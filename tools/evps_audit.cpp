@@ -39,6 +39,7 @@
 #include "analysis/scenario.hpp"
 #include "broker/audit_hook.hpp"
 #include "broker/overlay.hpp"
+#include "common/string_util.hpp"
 
 namespace {
 
@@ -190,12 +191,6 @@ int main(int argc, char** argv) {
   bool usage_error = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    const auto num_opt = [&arg](std::string_view prefix, auto& out) {
-      if (!arg.starts_with(prefix)) return false;
-      out = static_cast<std::remove_reference_t<decltype(out)>>(
-          std::stod(std::string(arg.substr(prefix.size()))));
-      return true;
-    };
     try {
       if (arg == "--covering") {
         opts.covering = true;
@@ -209,8 +204,9 @@ int main(int argc, char** argv) {
         opts.engine = std::string(arg.substr(9));
       } else if (arg.starts_with("--routing=")) {
         opts.routing = std::string(arg.substr(10));
-      } else if (num_opt("--brokers=", opts.brokers) || num_opt("--link-batch=", opts.link_batch) ||
-                 num_opt("--settle=", opts.settle)) {
+      } else if (parse_number_flag(arg, "--brokers=", opts.brokers) ||
+                 parse_number_flag(arg, "--link-batch=", opts.link_batch) ||
+                 parse_number_flag(arg, "--settle=", opts.settle)) {
         // handled
       } else if (arg == "--help" || arg == "-h") {
         paths.clear();

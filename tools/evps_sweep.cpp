@@ -23,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/string_util.hpp"
 #include "metrics/report.hpp"
 #include "workloads/sweep.hpp"
 
@@ -146,12 +147,6 @@ int main(int argc, char** argv) {
   bool help = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    const auto num_opt = [&arg](std::string_view prefix, auto& out) {
-      if (!arg.starts_with(prefix)) return false;
-      out = static_cast<std::remove_reference_t<decltype(out)>>(
-          std::stod(std::string(arg.substr(prefix.size()))));
-      return true;
-    };
     try {
       if (arg.starts_with("--scenario=")) {
         opts.scenario = std::string(arg.substr(11));
@@ -167,14 +162,13 @@ int main(int argc, char** argv) {
         opts.selfcheck = true;
       } else if (arg == "--quiet") {
         opts.quiet = true;
-      } else if (num_opt("--replicas=", opts.sweep.replicas) ||
-                 num_opt("--seed=", opts.sweep.root_seed) ||
-                 num_opt("--workers=", opts.sweep.workers) ||
-                 num_opt("--shards=", opts.sweep.matcher_threads) ||
-                 num_opt("--batch=", opts.sweep.batch_size) ||
-                 num_opt("--link-batch=", opts.sweep.link_batch_size) ||
-                 num_opt("--scale=", opts.sweep.scale) ||
-                 num_opt("--eps=", opts.sweep.latency_eps)) {
+      } else if (parse_number_flag(arg, "--replicas=", opts.sweep.replicas) ||
+                 parse_number_flag(arg, "--seed=", opts.sweep.root_seed) ||
+                 parse_number_flag(arg, "--workers=", opts.sweep.workers) ||
+                 parse_number_flag(arg, "--shards=", opts.sweep.matcher_threads) ||
+                 parse_number_flag(arg, "--link-batch=", opts.sweep.link_batch_size) ||
+                 parse_number_flag(arg, "--scale=", opts.sweep.scale) ||
+                 parse_number_flag(arg, "--eps=", opts.sweep.latency_eps)) {
         // handled
       } else if (arg == "--help" || arg == "-h") {
         help = true;
@@ -229,7 +223,6 @@ int main(int argc, char** argv) {
         << "  --matcher=KIND           brute|counting|churn (default counting)\n"
         << "  --routing=MODE           flooding|advertisement, hft only (default flooding)\n"
         << "  --shards=N               matcher shards per broker (default 0 = single)\n"
-        << "  --batch=N                broker publication batch size (default 1)\n"
         << "  --link-batch=N           per-link batch size (default 1)\n"
         << "  --scale=F                population scale factor (default 1.0)\n"
         << "  --eps=F                  latency sketch rank error (default 0.005)\n"
@@ -243,7 +236,7 @@ int main(int argc, char** argv) {
   std::ostringstream body;
   body << "{\"config\":{\"engine\":\"" << engine << "\",\"matcher\":\"" << matcher
        << "\",\"routing\":\"" << routing << "\",\"workers\":" << opts.sweep.workers
-       << ",\"shards\":" << opts.sweep.matcher_threads << ",\"batch\":" << opts.sweep.batch_size
+       << ",\"shards\":" << opts.sweep.matcher_threads
        << ",\"link_batch\":" << opts.sweep.link_batch_size
        << ",\"scale\":" << json_num(opts.sweep.scale)
        << ",\"eps\":" << json_num(opts.sweep.latency_eps) << "},\"scenarios\":{";
