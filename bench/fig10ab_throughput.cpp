@@ -12,63 +12,13 @@
 #include <chrono>
 #include <iostream>
 
-#include "common/rng.hpp"
-#include "evolving/engine.hpp"
+#include "engine_bench.hpp"
 #include "metrics/report.hpp"
-#include "workloads/system_kind.hpp"
 
 namespace {
 
 using namespace evps;
-
-/// Minimal stand-alone host with a manually advanced clock.
-class BenchHost final : public EngineHost {
- public:
-  [[nodiscard]] SimTime now() const override { return now_; }
-  void schedule(Duration delay, std::function<void()> fn) override {
-    timers_.emplace_back(now_ + delay, std::move(fn));
-  }
-  [[nodiscard]] VariableRegistry& variables() override { return registry_; }
-
-  void advance_to(SimTime t) {
-    now_ = t;
-    // Fire due timers (VES evolution wakeups) in scheduling order.
-    for (std::size_t i = 0; i < timers_.size(); ++i) {
-      if (timers_[i].first <= now_) {
-        auto fn = std::move(timers_[i].second);
-        timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
-        --i;
-        fn();
-      }
-    }
-  }
-
- private:
-  SimTime now_ = SimTime::zero();
-  VariableRegistry registry_;
-  std::vector<std::pair<SimTime, std::function<void()>>> timers_;
-};
-
-SubscriptionPtr aoi_subscription(std::uint64_t id, Rng& rng, double world) {
-  const double x = rng.uniform(-world, world);
-  const double y = rng.uniform(-world, world);
-  const double dx = rng.uniform(-2, 2);
-  const double dy = rng.uniform(-2, 2);
-  const auto moving = [](double origin, double velocity) {
-    return Expr::add(Expr::constant(origin),
-                     Expr::mul(Expr::constant(velocity), Expr::variable("t")));
-  };
-  Subscription sub;
-  sub.add(Predicate{"x", RelOp::kGe, Expr::sub(moving(x, dx), Expr::constant(3.0))});
-  sub.add(Predicate{"x", RelOp::kLe, Expr::add(moving(x, dx), Expr::constant(3.0))});
-  sub.add(Predicate{"y", RelOp::kGe, Expr::sub(moving(y, dy), Expr::constant(2.0))});
-  sub.add(Predicate{"y", RelOp::kLe, Expr::add(moving(y, dy), Expr::constant(2.0))});
-  sub.set_id(SubscriptionId{id});
-  sub.set_epoch(SimTime::zero());
-  sub.set_mei(Duration::seconds(1.0));
-  sub.set_tt(Duration::seconds(1.0));
-  return std::make_shared<const Subscription>(std::move(sub));
-}
+using namespace evps_bench;
 
 /// Measured pubs/s for `kind` with n_subs spread over n_clients.
 double throughput(EngineKind kind, std::size_t n_subs, std::size_t n_clients,
@@ -80,7 +30,8 @@ double throughput(EngineKind kind, std::size_t n_subs, std::size_t n_clients,
   const auto engine = make_engine(cfg);
   Rng rng{1234};
   for (std::size_t i = 0; i < n_subs; ++i) {
-    engine->add(aoi_subscription(i + 1, rng, kWorld), NodeId{i % n_clients}, host);
+    engine->add(random_aoi(i + 1, rng, kWorld, Duration::seconds(1.0)), NodeId{i % n_clients},
+                host);
   }
   // Pre-generate publications so generation cost stays out of the timing.
   std::vector<Publication> pubs;

@@ -2,60 +2,18 @@
 // cost of the three evolving engine designs.
 #include <benchmark/benchmark.h>
 
-#include "common/rng.hpp"
-#include "evolving/engine.hpp"
+#include "engine_bench.hpp"
 #include "evolving/ves_engine.hpp"
 #include "gbench_main.hpp"
 
 namespace {
 
 using namespace evps;
+using namespace evps_bench;
 
-class BenchHost final : public EngineHost {
- public:
-  [[nodiscard]] SimTime now() const override { return now_; }
-  void schedule(Duration delay, std::function<void()> fn) override {
-    timers_.emplace_back(now_ + delay, std::move(fn));
-  }
-  [[nodiscard]] VariableRegistry& variables() override { return registry_; }
-
-  void advance_to(SimTime t) {
-    now_ = t;
-    for (std::size_t i = 0; i < timers_.size(); ++i) {
-      if (timers_[i].first <= now_) {
-        auto fn = std::move(timers_[i].second);
-        timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
-        --i;
-        fn();
-      }
-    }
-  }
-
- private:
-  SimTime now_ = SimTime::zero();
-  VariableRegistry registry_;
-  std::vector<std::pair<SimTime, std::function<void()>>> timers_;
-};
-
+/// Timer noise off for the match benches: no evolution inside the run.
 SubscriptionPtr aoi_subscription(std::uint64_t id, Rng& rng) {
-  const double x = rng.uniform(-100.0, 100.0);
-  const double y = rng.uniform(-100.0, 100.0);
-  const double dx = rng.uniform(-2, 2);
-  const double dy = rng.uniform(-2, 2);
-  const auto moving = [](double origin, double velocity) {
-    return Expr::add(Expr::constant(origin),
-                     Expr::mul(Expr::constant(velocity), Expr::variable("t")));
-  };
-  Subscription sub;
-  sub.add(Predicate{"x", RelOp::kGe, Expr::sub(moving(x, dx), Expr::constant(3.0))});
-  sub.add(Predicate{"x", RelOp::kLe, Expr::add(moving(x, dx), Expr::constant(3.0))});
-  sub.add(Predicate{"y", RelOp::kGe, Expr::sub(moving(y, dy), Expr::constant(2.0))});
-  sub.add(Predicate{"y", RelOp::kLe, Expr::add(moving(y, dy), Expr::constant(2.0))});
-  sub.set_id(SubscriptionId{id});
-  sub.set_epoch(SimTime::zero());
-  sub.set_mei(Duration::seconds(3600));  // timer noise off for match benches
-  sub.set_tt(Duration::seconds(1));
-  return std::make_shared<const Subscription>(std::move(sub));
+  return random_aoi(id, rng, 100.0, Duration::seconds(3600));
 }
 
 void engine_match_bench(benchmark::State& state, EngineKind kind) {
@@ -200,11 +158,7 @@ void BM_VesEvolutionRound(benchmark::State& state) {
   Rng rng{9};
   const auto n = static_cast<std::size_t>(state.range(0));
   for (std::size_t i = 0; i < n; ++i) {
-    auto sub = aoi_subscription(i + 1, rng);
-    auto mutable_sub = std::make_shared<Subscription>(*sub);
-    mutable_sub->set_mei(Duration::seconds(1));
-    engine.add(std::shared_ptr<const Subscription>(std::move(mutable_sub)), NodeId{i % 100},
-               host);
+    engine.add(random_aoi(i + 1, rng, 100.0, Duration::seconds(1)), NodeId{i % 100}, host);
   }
   std::int64_t seconds = 0;
   for (auto _ : state) {

@@ -1,8 +1,8 @@
 // Covering-based subscription routing: dissemination traffic and matcher
 // population, off vs on.
 //
-// Two clustered-subscriber workloads run on an advertisement-mode star
-// overlay (core + 4 edge brokers):
+// Three clustered-subscriber workloads run on advertisement-mode star
+// overlays (workloads/star.hpp):
 //
 //   game — moving-interest zones: per edge broker, subscriber clusters pick
 //     a hotspot; one wide zone per cluster covers a pile of narrower (and
@@ -10,42 +10,46 @@
 //   hft  — price bands: wide desk-level band subscriptions covering nested
 //     per-trader bands, plus exact duplicates (identical alert rules),
 //     which also exercises the engines' identical-predicate dedup.
-//   game_rotated — moving-centre zones in rotated coordinates: every zone
-//     tracks a per-cluster centre *variable* (u/w boxes around rot_cu/rot_cw),
-//     so the per-attribute inner shape of each coverer is empty and only the
-//     relational (octagon) refinement can prove the covering. This workload
-//     runs three ways — covering off, covering on with relational off, and
-//     covering on with relational on — to isolate the relational delta.
+//   game_rotated — the sweep's rotated-coordinate moving zones
+//     (make_rotated, seed 4091, 12 clusters, core + 3 edges): every zone
+//     tracks its cluster's centre *variables*, so the per-attribute inner
+//     shape of each coverer is empty and only the relational (octagon)
+//     refinement can prove the covering. This workload runs three ways —
+//     covering off, covering on with relational off, and covering on with
+//     relational on — to isolate the relational delta.
 //
-// Each workload runs under identical message scripts, including an
-// unsubscribe wave that removes ~20% of the coverers mid-run
-// (uncover-on-remove re-dissemination). The runs must produce bit-identical
-// client delivery logs (checked; the bench exits nonzero on divergence, so
-// the bench-smoke ctest entry doubles as a regression test), while the
-// covering run must need fewer subscription-dissemination messages and
-// smaller matchers.
+// game and hft run on core + 4 edges with an unsubscribe wave that removes
+// ~20% of the coverers mid-run (uncover-on-remove re-dissemination), each
+// publication feed published before and after it. Every configuration of a
+// workload replays the same inputs and must produce the same delivery
+// fingerprint (checked; the bench exits nonzero on divergence, so the
+// bench-smoke ctest entry doubles as a regression test), while the covering
+// run must need fewer subscription-dissemination messages and smaller
+// matchers.
 //
 // Results are printed as tables and recorded in BENCH_routing.json
 // (argv[1] overrides the output path).
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "broker/overlay.hpp"
 #include "common/rng.hpp"
-#include "message/codec.hpp"
-#include "metrics/covering_counters.hpp"
+#include "common/string_util.hpp"
+#include "metrics/accuracy.hpp"
 #include "metrics/report.hpp"
+#include "workloads/star.hpp"
 
 namespace {
 
 using namespace evps;
 
-constexpr int kEdges = 4;
+constexpr std::size_t kEdges = 4;
 constexpr int kClustersPerEdge = 3;
 constexpr int kCoveredPerCluster = 6;
+constexpr std::uint64_t kRotatedSeed = 4091;
+constexpr std::size_t kRotatedClusters = 12;
 
 struct RunStats {
   std::uint64_t subscription_msgs = 0;
@@ -56,40 +60,52 @@ struct RunStats {
   std::uint64_t demote_unsubscribes = 0;
   std::uint64_t resubscribes = 0;
   CoverStats pairs;
-  /// Flattened delivery log for the off/on equivalence check.
-  std::vector<std::string> delivery_log;
+  std::uint64_t fingerprint = 0;
 };
 
-struct VarSpec {
-  std::string name;
-  double lo = 0;
-  double hi = 0;
-  double value = 0;
-};
+/// The star the game and hft workloads share: core + kEdges edges, 1 ms
+/// client links, one load-style variable in [0, 1].
+StarWorkload routing_star(std::string adv, std::string var, double value) {
+  StarWorkload w;
+  w.edges = kEdges;
+  w.client_latency = Duration::millis(1);
+  w.adv = std::move(adv);
+  w.vars.push_back({std::move(var), 0.0, 1.0, value});
+  return w;
+}
 
-struct Workload {
-  std::string name;
-  std::string adv;                      // advertised publication space
-  std::vector<VarSpec> vars;            // workload-specific declared variables
-  std::vector<std::string> subs;        // subscription texts, cluster-ordered
-  std::vector<std::size_t> unsub_wave;  // indices unsubscribed mid-run
-  std::vector<std::string> pubs;        // publication texts
-};
+/// One cluster on edge `e`: two narrow subscriptions go before the wide
+/// `coverer` — they start as roots and are demoted (retracted upstream) when
+/// it arrives — then the rest. A `leaving` coverer unsubscribes in the wave
+/// from 8 s.
+void add_cluster(StarWorkload& w, std::size_t e, const std::vector<std::string>& narrow,
+                 const std::string& coverer, bool leaving) {
+  w.subs.push_back({narrow[0], e});
+  w.subs.push_back({narrow[1], e});
+  w.subs.push_back({coverer, e});
+  if (leaving) {
+    w.unsubs.push_back({8.0 + 0.05 * static_cast<double>(w.unsubs.size()), w.subs.size() - 1});
+  }
+  for (std::size_t s = 2; s < narrow.size(); ++s) w.subs.push_back({narrow[s], e});
+}
 
-std::string fmt_num(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
+/// Publish `pubs` from 4 s, and again from 10 s against the post-removal
+/// state.
+void publish_twice(StarWorkload& w, const std::vector<std::string>& pubs) {
+  for (const double start : {4.0, 10.0}) {
+    for (std::size_t i = 0; i < pubs.size(); ++i) {
+      w.pubs.push_back({start + 0.05 * static_cast<double>(i), pubs[i]});
+    }
+  }
 }
 
 /// Clustered game zones: per cluster one wide [c-60, c+60] x/y box covering
 /// narrower static and load-scaled evolving zones around the same hotspot.
-Workload make_game_workload() {
-  Workload w;
-  w.name = "game";
-  w.adv = "x >= 0; x <= 1000; y >= 0; y <= 1000";
+StarWorkload make_game_workload() {
+  StarWorkload w = routing_star("x >= 0; x <= 1000; y >= 0; y <= 1000", "gz_load", 0.5);
   Rng rng{2024};
-  for (int e = 0; e < kEdges; ++e) {
+  std::vector<std::string> pubs;
+  for (std::size_t e = 0; e < kEdges; ++e) {
     for (int c = 0; c < kClustersPerEdge; ++c) {
       const double cx = rng.uniform(100.0, 900.0);
       const double cy = rng.uniform(100.0, 900.0);
@@ -98,123 +114,74 @@ Workload make_game_workload() {
         const double r = rng.uniform(5.0, 40.0);
         const double ox = rng.uniform(-15.0, 15.0);
         const double oy = rng.uniform(-15.0, 15.0);
+        const std::string y_range =
+            "; y >= " + format_number(cy + oy - r) + "; y <= " + format_number(cy + oy + r);
         if (rng.bernoulli(0.3)) {
           // Evolving zone: gz_load in [0, 1] keeps the envelope within the
           // wide box (max reach 40 + 15 < 60).
-          zones.push_back("[tt=0.5] x >= " + fmt_num(cx + ox - r) + "; x <= " +
-                          fmt_num(cx + ox) + " + " + fmt_num(r * 0.5) + " * gz_load; y >= " +
-                          fmt_num(cy + oy - r) + "; y <= " + fmt_num(cy + oy + r));
+          zones.push_back("[tt=0.5] x >= " + format_number(cx + ox - r) + "; x <= " +
+                          format_number(cx + ox) + " + " + format_number(r * 0.5) +
+                          " * gz_load" + y_range);
         } else {
-          zones.push_back("x >= " + fmt_num(cx + ox - r) + "; x <= " + fmt_num(cx + ox + r) +
-                          "; y >= " + fmt_num(cy + oy - r) + "; y <= " + fmt_num(cy + oy + r));
+          zones.push_back("x >= " + format_number(cx + ox - r) + "; x <= " +
+                          format_number(cx + ox + r) + y_range);
         }
       }
-      // Two narrow zones subscribe before the wide one: they start as roots
-      // and are demoted (retracted upstream) when the coverer arrives.
-      w.subs.push_back(zones[0]);
-      w.subs.push_back(zones[1]);
-      w.subs.push_back("x >= " + fmt_num(cx - 60) + "; x <= " + fmt_num(cx + 60) + "; y >= " +
-                       fmt_num(cy - 60) + "; y <= " + fmt_num(cy + 60));
-      const std::size_t coverer = w.subs.size() - 1;
-      if (rng.bernoulli(0.25)) w.unsub_wave.push_back(coverer);
-      for (int s = 2; s < kCoveredPerCluster; ++s) w.subs.push_back(zones[s]);
+      add_cluster(w, e, zones,
+                  "x >= " + format_number(cx - 60) + "; x <= " + format_number(cx + 60) +
+                      "; y >= " + format_number(cy - 60) + "; y <= " + format_number(cy + 60),
+                  rng.bernoulli(0.25));
       // Publications aimed at the cluster so deliveries are non-trivial.
       for (int p = 0; p < 4; ++p) {
-        w.pubs.push_back("x = " + fmt_num(cx + rng.uniform(-70.0, 70.0)) +
-                         "; y = " + fmt_num(cy + rng.uniform(-70.0, 70.0)));
+        pubs.push_back("x = " + format_number(cx + rng.uniform(-70.0, 70.0)) +
+                       "; y = " + format_number(cy + rng.uniform(-70.0, 70.0)));
       }
     }
   }
+  publish_twice(w, pubs);
   return w;
 }
 
 /// HFT price bands: desk-wide bands covering per-trader bands plus exact
 /// duplicate alert rules (identical predicates, multiple subscribers).
-Workload make_hft_workload() {
-  Workload w;
-  w.name = "hft";
-  w.adv = "price >= 0; price <= 1000";
+StarWorkload make_hft_workload() {
+  StarWorkload w = routing_star("price >= 0; price <= 1000", "hf_vix", 0.3);
   Rng rng{7};
-  for (int e = 0; e < kEdges; ++e) {
+  std::vector<std::string> pubs;
+  const auto band = [](double lo, double hi) {
+    return "price >= " + format_number(lo) + "; price <= " + format_number(hi);
+  };
+  for (std::size_t e = 0; e < kEdges; ++e) {
     for (int c = 0; c < kClustersPerEdge; ++c) {
       const double base = rng.uniform(50.0, 900.0);
-      const std::string dup = "price >= " + fmt_num(base - 10) + "; price <= " +
-                              fmt_num(base + 10);
       // The duplicate alert rules subscribe before the desk-wide band: the
       // first becomes a root, is demoted on the coverer's arrival, and both
       // exercise the engines' identical-predicate dedup.
-      w.subs.push_back(dup);
-      w.subs.push_back(dup);
-      w.subs.push_back("price >= " + fmt_num(base - 40) + "; price <= " + fmt_num(base + 40));
-      const std::size_t coverer = w.subs.size() - 1;
-      if (rng.bernoulli(0.25)) w.unsub_wave.push_back(coverer);
+      std::vector<std::string> bands(2, band(base - 10, base + 10));
+      const bool leaving = rng.bernoulli(0.25);
       for (int s = 2; s < kCoveredPerCluster; ++s) {
         if (rng.bernoulli(0.3)) {
           // Volatility-scaled band: hf_vix in [0, 1] bounds the reach to 30.
-          w.subs.push_back("[tt=0.5] price >= " + fmt_num(base - 20) + "; price <= " +
-                           fmt_num(base) + " + 30 * hf_vix");
+          bands.push_back("[tt=0.5] price >= " + format_number(base - 20) + "; price <= " +
+                          format_number(base) + " + 30 * hf_vix");
         } else {
           const double r = rng.uniform(5.0, 35.0);
-          w.subs.push_back("price >= " + fmt_num(base - r) + "; price <= " + fmt_num(base + r));
+          bands.push_back(band(base - r, base + r));
         }
       }
+      add_cluster(w, e, bands, band(base - 40, base + 40), leaving);
       for (int p = 0; p < 4; ++p) {
-        w.pubs.push_back("price = " + fmt_num(base + rng.uniform(-50.0, 50.0)));
+        pubs.push_back("price = " + format_number(base + rng.uniform(-50.0, 50.0)));
       }
     }
   }
+  publish_twice(w, pubs);
   return w;
 }
 
-/// `var + d` / `var - |d|` with a parser-friendly sign.
-std::string shifted(const std::string& var, double d) {
-  return d < 0 ? var + " - " + fmt_num(-d) : var + " + " + fmt_num(d);
-}
-
-/// Rotated-coordinate moving zones: every zone is a u/w box centred on the
-/// cluster's centre variables (rot_cuK/rot_cwK), wide boxes (+-60) covering
-/// narrower ones (reach <= 15 + 35 < 60). Because the centre variables range
-/// over [100, 900], the coverers' per-attribute inner shapes are empty —
-/// only the relational refinement can prove these coverings.
-Workload make_rotated_workload() {
-  Workload w;
-  w.name = "game_rotated";
-  w.adv = "u >= 0; u <= 2000; w >= -1000; w <= 1000";
-  Rng rng{4091};
-  for (int e = 0; e < kEdges; ++e) {
-    for (int c = 0; c < kClustersPerEdge; ++c) {
-      const int k = e * kClustersPerEdge + c;
-      const std::string cu = "rot_cu" + std::to_string(k);
-      const std::string cw = "rot_cw" + std::to_string(k);
-      const double cuv = rng.uniform(150.0, 850.0);
-      const double cwv = rng.uniform(-400.0, 400.0);
-      w.vars.push_back({cu, 100.0, 900.0, cuv});
-      w.vars.push_back({cw, -500.0, 500.0, cwv});
-      std::vector<std::string> zones;
-      for (int s = 0; s < kCoveredPerCluster; ++s) {
-        const double r = rng.uniform(5.0, 35.0);
-        const double ou = rng.uniform(-15.0, 15.0);
-        const double ow = rng.uniform(-15.0, 15.0);
-        zones.push_back("[tt=0.5] u >= " + shifted(cu, ou - r) + "; u <= " + shifted(cu, ou + r) +
-                        "; w >= " + shifted(cw, ow - r) + "; w <= " + shifted(cw, ow + r));
-      }
-      w.subs.push_back(zones[0]);
-      w.subs.push_back(zones[1]);
-      w.subs.push_back("[tt=0.5] u >= " + shifted(cu, -60) + "; u <= " + shifted(cu, 60) +
-                       "; w >= " + shifted(cw, -60) + "; w <= " + shifted(cw, 60));
-      const std::size_t coverer = w.subs.size() - 1;
-      if (rng.bernoulli(0.25)) w.unsub_wave.push_back(coverer);
-      for (int s = 2; s < kCoveredPerCluster; ++s) w.subs.push_back(zones[s]);
-      for (int p = 0; p < 4; ++p) {
-        w.pubs.push_back("u = " + fmt_num(cuv + rng.uniform(-70.0, 70.0)) +
-                         "; w = " + fmt_num(cwv + rng.uniform(-70.0, 70.0)));
-      }
-    }
-  }
-  return w;
-}
-
-RunStats run(const Workload& w, bool covering_on, bool relational_on = true) {
+/// Replay `w` on the LEES advertisement-routed star and sum the broker
+/// counters.
+RunStats run(const StarWorkload& w, bool covering_on, bool relational_on = true) {
   Simulator sim;
   Overlay overlay{sim};
   BrokerConfig cfg;
@@ -222,52 +189,7 @@ RunStats run(const Workload& w, bool covering_on, bool relational_on = true) {
   cfg.routing = RoutingMode::kAdvertisement;
   cfg.covering = covering_on;
   cfg.relational_covering = relational_on;
-  auto brokers = overlay.build_star(kEdges, cfg, Duration::millis(5));
-  for (auto* b : brokers) {
-    b->variables().declare_range("gz_load", 0.0, 1.0);
-    b->variables().declare_range("hf_vix", 0.0, 1.0);
-    for (const VarSpec& v : w.vars) b->variables().declare_range(v.name, v.lo, v.hi);
-  }
-  brokers[0]->set_variable("gz_load", 0.5);
-  brokers[0]->set_variable("hf_vix", 0.3);
-  for (const VarSpec& v : w.vars) brokers[0]->set_variable(v.name, v.value);
-
-  PubSubClient& publisher = overlay.add_client("pub");
-  publisher.connect(*brokers[1], Duration::millis(1));
-
-  std::vector<PubSubClient*> subscribers;
-  std::vector<SubscriptionId> sub_ids(w.subs.size());
-  const std::size_t per_edge = (w.subs.size() + kEdges - 1) / kEdges;
-  for (std::size_t i = 0; i < w.subs.size(); ++i) {
-    PubSubClient& c = overlay.add_client("sub" + std::to_string(i));
-    // Cluster-ordered: consecutive subscriptions land on the same edge.
-    c.connect(*brokers[1 + (i / per_edge) % kEdges], Duration::millis(1));
-    subscribers.push_back(&c);
-  }
-
-  sim.after(Duration::zero(), [&] {
-    publisher.advertise(parse_subscription(w.adv).predicates());
-  });
-  for (std::size_t i = 0; i < w.subs.size(); ++i) {
-    sim.after(Duration::seconds(1.0 + 0.01 * static_cast<double>(i)),
-              [&, i] { sub_ids[i] = subscribers[i]->subscribe(w.subs[i]); });
-  }
-  for (std::size_t i = 0; i < w.pubs.size(); ++i) {
-    sim.after(Duration::seconds(4.0 + 0.05 * static_cast<double>(i)),
-              [&, i] { publisher.publish(w.pubs[i]); });
-  }
-  // Unsubscribe wave: remove a fifth of the coverers (uncover-on-remove).
-  for (std::size_t k = 0; k < w.unsub_wave.size(); ++k) {
-    const std::size_t i = w.unsub_wave[k];
-    sim.after(Duration::seconds(8.0 + 0.05 * static_cast<double>(k)),
-              [&, i] { subscribers[i]->unsubscribe(sub_ids[i]); });
-  }
-  // Second publication round against the post-removal state.
-  for (std::size_t i = 0; i < w.pubs.size(); ++i) {
-    sim.after(Duration::seconds(10.0 + 0.05 * static_cast<double>(i)),
-              [&, i] { publisher.publish(w.pubs[i]); });
-  }
-  sim.run_until(SimTime::from_seconds(20.0));
+  run_star(w, cfg, /*central=*/false, overlay);
 
   RunStats r;
   for (const auto& b : overlay.brokers()) {
@@ -283,13 +205,8 @@ RunStats run(const Workload& w, bool covering_on, bool relational_on = true) {
     r.pairs.unknown += cs.unknown;
     r.pairs.relational += cs.relational;
   }
-  for (const PubSubClient* c : subscribers) {
-    r.deliveries += c->deliveries().size();
-    for (const auto& d : c->deliveries()) {
-      r.delivery_log.push_back(c->name() + "@" + std::to_string(d.when.micros()) + ":" +
-                               serialize(d.pub));
-    }
-  }
+  for (const auto& c : overlay.clients()) r.deliveries += c->deliveries().size();
+  r.fingerprint = delivery_fingerprint(overlay);
   return r;
 }
 
@@ -329,9 +246,11 @@ void json_scenario(std::ostream& os, const std::string& name, const RunStats& of
 
 /// Three-way rotated scenario: the relational delta is the difference
 /// between covering-on-relational-off and covering-on-relational-on.
-void json_rotated(std::ostream& os, const std::string& name, const RunStats& off,
-                  const RunStats& per_attr, const RunStats& rel) {
-  os << "    {\"name\":\"" << name << "\",\"off\":";
+void json_rotated(std::ostream& os, const std::string& name, const StarWorkload& w,
+                  const RunStats& off, const RunStats& per_attr, const RunStats& rel) {
+  os << "    {\"name\":\"" << name << "\",\"seed\":" << kRotatedSeed
+     << ",\"clusters\":" << kRotatedClusters << ",\"edges\":" << w.edges
+     << ",\"subscriptions\":" << w.subs.size() << ",\"off\":";
   json_off_stats(os, off);
   os << ",\"on_perattr\":";
   json_on_stats(os, per_attr);
@@ -352,14 +271,14 @@ int main(int argc, char** argv) {
   json << "{\n  \"overlay\": \"star, core + " << kEdges
        << " edges, advertisement routing, LEES\",\n  \"scenarios\": [\n";
 
-  const Workload workloads[] = {make_game_workload(), make_hft_workload()};
-  for (std::size_t wi = 0; wi < 2; ++wi) {
-    const Workload& w = workloads[wi];
+  const std::pair<std::string, StarWorkload> workloads[] = {{"game", make_game_workload()},
+                                                            {"hft", make_hft_workload()}};
+  for (const auto& [name, w] : workloads) {
     const RunStats off = run(w, false);
     const RunStats on = run(w, true);
 
-    print_banner(w.name + " workload (" + std::to_string(w.subs.size()) + " subscriptions, " +
-                 std::to_string(w.unsub_wave.size()) + " coverers removed mid-run)");
+    print_banner(name + " workload (" + std::to_string(w.subs.size()) + " subscriptions, " +
+                 std::to_string(w.unsubs.size()) + " coverers removed mid-run)");
     Table t{{"metric", "covering off", "covering on"}};
     t.add_row({"subscription msgs", std::to_string(off.subscription_msgs),
                std::to_string(on.subscription_msgs)});
@@ -374,30 +293,30 @@ int main(int argc, char** argv) {
     t.add_row({"covering pairs (covered)", "-",
                std::to_string(on.pairs.pairs) + " (" + std::to_string(on.pairs.covered) + ")"});
     t.print();
-    const double reduction =
-        100.0 * (1.0 - static_cast<double>(on.subscription_msgs) /
-                           static_cast<double>(off.subscription_msgs));
-    std::cout << "dissemination reduction: " << Table::fmt(reduction, 1) << "%\n";
+    std::cout << "dissemination reduction: " << Table::fmt(reduction_pct(off, on), 1) << "%\n";
 
-    if (off.delivery_log != on.delivery_log) {
-      std::cerr << "ERROR: delivery logs diverge between covering off/on in " << w.name << "\n";
+    if (off.fingerprint != on.fingerprint) {
+      std::cerr << "ERROR: deliveries diverge between covering off/on in " << name << "\n";
       diverged = true;
     }
 
-    json_scenario(json, w.name, off, on);
+    json_scenario(json, name, off, on);
     json << ",\n";
   }
 
-  // Rotated moving-centre workload: three configurations isolate what the
-  // relational refinement buys on top of per-attribute covering.
+  // The sweep's rotated moving-centre workload: three configurations isolate
+  // what the relational refinement buys on top of per-attribute covering.
   {
-    const Workload w = make_rotated_workload();
+    const std::string name = "game_rotated";
+    const StarWorkload w = make_rotated(kRotatedSeed, kRotatedClusters);
     const RunStats off = run(w, false);
     const RunStats per_attr = run(w, true, /*relational_on=*/false);
     const RunStats rel = run(w, true, /*relational_on=*/true);
 
-    print_banner(w.name + " workload (" + std::to_string(w.subs.size()) + " subscriptions, " +
-                 std::to_string(w.unsub_wave.size()) + " coverers removed mid-run)");
+    print_banner(name + " workload (" + std::to_string(w.subs.size()) + " subscriptions, " +
+                 std::to_string(kRotatedClusters) + " clusters, seed " +
+                 std::to_string(kRotatedSeed) + ", core + " + std::to_string(w.edges) +
+                 " edges)");
     Table t{{"metric", "covering off", "on, per-attr", "on, relational"}};
     t.add_row({"subscription msgs", std::to_string(off.subscription_msgs),
                std::to_string(per_attr.subscription_msgs), std::to_string(rel.subscription_msgs)});
@@ -418,23 +337,23 @@ int main(int argc, char** argv) {
               << "%  (relational vs per-attr: " << Table::fmt(reduction_pct(per_attr, rel), 1)
               << "%)\n";
 
-    if (off.delivery_log != per_attr.delivery_log || off.delivery_log != rel.delivery_log) {
-      std::cerr << "ERROR: delivery logs diverge across configurations in " << w.name << "\n";
+    if (off.fingerprint != per_attr.fingerprint || off.fingerprint != rel.fingerprint) {
+      std::cerr << "ERROR: deliveries diverge across configurations in " << name << "\n";
       diverged = true;
     }
     // The workload exists to exercise the octagon: the relational run must
     // actually prove coverings the per-attribute run cannot.
     if (rel.pairs.relational == 0 || rel.suppressed <= per_attr.suppressed ||
         rel.subscription_msgs >= per_attr.subscription_msgs) {
-      std::cerr << "ERROR: relational covering produced no routing benefit in " << w.name << "\n";
+      std::cerr << "ERROR: relational covering produced no routing benefit in " << name << "\n";
       diverged = true;
     }
     if (per_attr.pairs.relational != 0) {
-      std::cerr << "ERROR: relational-off run reported relational proofs in " << w.name << "\n";
+      std::cerr << "ERROR: relational-off run reported relational proofs in " << name << "\n";
       diverged = true;
     }
 
-    json_rotated(json, w.name, off, per_attr, rel);
+    json_rotated(json, name, w, off, per_attr, rel);
     json << "\n";
   }
   json << "  ]\n}";

@@ -455,13 +455,11 @@ class Audit {
           expect_matcher = git->second->members.front() == id;
           role = expect_matcher ? "canonical of its dedup group" : "deduped behind " +
                  git->second->members.front().str();
-        } else if (eng.dedup_identical) {
+        } else {
           add(Invariant::kGhostState, &b, id,
               "fully-static subscription untracked by the dedup table "
               "(refcount skew: its install is unaccounted)");
           expect_matcher = matcher.contains(id);  // avoid a cascading report
-        } else {
-          expect_matcher = true;
         }
       } else if (eng.kind == "VES") {
         expect_matcher = true;  // materialised version under its own id
@@ -473,13 +471,11 @@ class Audit {
             expect_lazy = git->second->members.front() == id;
             role = expect_lazy ? "canonical of its lazy dedup group" : "deduped behind " +
                    git->second->members.front().str();
-          } else if (eng.dedup_identical) {
+          } else {
             add(Invariant::kGhostState, &b, id,
                 "fully-evolving subscription untracked by the lazy dedup table "
                 "(refcount skew)");
             expect_lazy = lazy_ids.contains(id);
-          } else {
-            expect_lazy = true;
           }
         } else {
           expect_matcher = true;  // split: static half under its own id

@@ -95,8 +95,7 @@ std::string canonical_text(const OverlaySnapshot& snap) {
       for (const SubscriptionId c : n.children) os << " " << c;
       os << " ]\n";
     }
-    os << "  engine kind=" << b.engine.kind << " dedup=" << (b.engine.dedup_identical ? 1 : 0)
-       << "\n";
+    os << "  engine kind=" << b.engine.kind << "\n";
     for (const auto& [id, e] : b.engine.installed) {
       os << "  installed " << id << " dest=" << e.dest << " broker_hop=" << (e.dest_is_broker ? 1 : 0)
          << " static=" << e.static_preds << " evolving=" << e.evolving_preds;

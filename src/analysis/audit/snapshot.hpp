@@ -68,8 +68,7 @@ struct LazyEntry {
 
 /// The engine's logical table plus its physical footprint.
 struct EngineState {
-  std::string kind;             ///< to_string(EngineKind)
-  bool dedup_identical = true;  ///< EngineConfig::dedup_identical
+  std::string kind;  ///< to_string(EngineKind)
   std::map<SubscriptionId, InstalledSub> installed;
   /// Ids physically present in the (sharded) matcher, ascending.
   std::vector<SubscriptionId> matcher_ids;

@@ -100,22 +100,6 @@ Interval Interval::point(double v) noexcept {
   return range(v, v);
 }
 
-Interval Interval::hull(const Interval& other) const noexcept {
-  Interval r;
-  r.maybe_nan = maybe_nan || other.maybe_nan;
-  if (numeric_empty()) {
-    r.lo = other.lo;
-    r.hi = other.hi;
-  } else if (other.numeric_empty()) {
-    r.lo = lo;
-    r.hi = hi;
-  } else {
-    r.lo = std::min(lo, other.lo);
-    r.hi = std::max(hi, other.hi);
-  }
-  return r;
-}
-
 Interval iv_neg(const Interval& a) noexcept {
   if (a.numeric_empty()) return a;
   Interval r = Interval::range(-a.hi, -a.lo);  // negation is exact

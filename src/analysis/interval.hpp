@@ -75,9 +75,6 @@ struct Interval {
   [[nodiscard]] bool admits(double v) const noexcept {
     return std::isnan(v) ? maybe_nan : contains(v);
   }
-
-  /// Smallest interval containing both (union over-approximation).
-  [[nodiscard]] Interval hull(const Interval& other) const noexcept;
 };
 
 /// Per-variable bounds supplied to the abstract interpreter. Unknown

@@ -100,7 +100,6 @@ class PubSubClient final : public NetworkNode {
 
   // --- delivery log ----------------------------------------------------------
   [[nodiscard]] const std::vector<Delivery>& deliveries() const noexcept { return deliveries_; }
-  void clear_deliveries() { deliveries_.clear(); }
 
   /// Optional hook invoked on each delivery (after logging).
   std::function<void(const Publication&, SimTime)> on_delivery;

@@ -82,7 +82,6 @@ class LinkBatcher {
   void flush_all();
 
   [[nodiscard]] const LinkBatchCounters& counters() const noexcept { return counters_; }
-  void reset_counters() { counters_.reset(); }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
   /// Visit every slot with buffered publications as (dest, pending count).

@@ -1,6 +1,7 @@
 #include "common/string_util.hpp"
 
 #include <cctype>
+#include <sstream>
 
 namespace evps {
 
@@ -54,6 +55,12 @@ std::string join(const std::vector<std::string>& items, std::string_view sep) {
     out += items[i];
   }
   return out;
+}
+
+std::string format_number(double v) {
+  std::ostringstream os;
+  os << v;
+  return os.str();
 }
 
 }  // namespace evps

@@ -28,6 +28,10 @@ namespace evps {
 /// Join items with a separator.
 [[nodiscard]] std::string join(const std::vector<std::string>& items, std::string_view sep);
 
+/// `v` as `std::ostream << v` prints it (default precision, 6 significant
+/// digits): the number format of generated subscription and publication text.
+[[nodiscard]] std::string format_number(double v);
+
 /// Parse all of `text` as a T. Integers are plain decimal digits that fit T
 /// (no sign, fraction, exponent or surrounding text); floating-point values
 /// must be consumed in full and be finite. On failure returns false and

@@ -19,15 +19,13 @@ void CleesEngine::do_add(const Installed& entry, EngineHost& host) {
   const auto static_part = sub.static_predicates();
   auto& storage = storage_for(sub.id());
   auto part = storage.make_part(entry.sub, !static_part.empty());
-  if (config_.analysis_cache_windows) {
-    // Derive the cache-window class once, at install time, instead of
-    // re-deriving bounds per publication: provably-constant bounds never
-    // need re-materialisation, t-independent bounds only when a registry
-    // variable changed.
-    const SubscriptionAnalysis analysis = analyze_subscription(sub, host.variables());
-    part.extra.constant_bounds = analysis.verdict == Verdict::kConstant;
-    part.extra.time_invariant = !analysis.time_dependent;
-  }
+  // Derive the cache-window class once, at install time, instead of
+  // re-deriving bounds per publication: provably-constant bounds never
+  // need re-materialisation, t-independent bounds only when a registry
+  // variable changed.
+  const SubscriptionAnalysis analysis = analyze_subscription(sub, host.variables());
+  part.extra.constant_bounds = analysis.verdict == Verdict::kConstant;
+  part.extra.time_invariant = !analysis.time_dependent;
   if (part.has_static_part) matcher_->add(sub.id(), static_part);
   storage.add(std::move(part), entry.dest);
 }

@@ -63,9 +63,9 @@ class CleesEngine final : public BrokerEngine {
     /// A version has been materialised into `bounds` (expires alone cannot
     /// tell: the analysis windows below outlive it).
     bool populated = false;
-    /// Static analysis at install time (EngineConfig::analysis_cache_windows):
-    /// bounds provably constant for every reachable variable state — the
-    /// first materialised version never expires.
+    /// Static analysis at install time (analysis/analyzer.hpp): bounds
+    /// provably constant for every reachable variable state — the first
+    /// materialised version never expires.
     bool constant_bounds = false;
     /// Bounds independent of `t`: a version stays exact until some registry
     /// variable changes, however far past TT that is.

@@ -217,7 +217,6 @@ SubscriptionPtr BrokerEngine::subscription_of(SubscriptionId id) const noexcept 
 
 void BrokerEngine::export_audit_state(audit::EngineState& out) const {
   out.kind = to_string(config_.kind);
-  out.dedup_identical = config_.dedup_identical;
   for (const auto& [id, entry] : subs_) {
     audit::InstalledSub e;
     e.sub = entry.sub;
@@ -270,10 +269,6 @@ const BrokerEngine::Installed* BrokerEngine::installed_entry(SubscriptionId id) 
 void BrokerEngine::matcher_add_static(const Installed& entry) {
   const auto& sub = *entry.sub;
   assert(!sub.is_evolving());
-  if (!config_.dedup_identical) {
-    matcher_->add(sub.id(), sub.predicates());
-    return;
-  }
   if (static_dedup_.add(sub.id(), static_dedup_key(entry.dest, sub.predicates()))) {
     matcher_->add(sub.id(), sub.predicates());
   }

@@ -100,19 +100,6 @@ struct EngineConfig {
   /// positives on the forwarding path for the elimination of staleness
   /// false negatives. Versions for directly attached subscribers stay exact.
   bool overestimate_forwarding = false;
-  /// CLEES extension: size TT cache windows from static analysis
-  /// (analysis/analyzer.hpp) at install time. Parts whose bounds are
-  /// provably constant never expire; parts independent of `t` stay valid
-  /// past TT while no registry variable has changed. Both cases re-derive
-  /// bit-identical bounds, so this only skips provably redundant
-  /// re-materialisations — observable behaviour is unchanged.
-  bool analysis_cache_windows = true;
-  /// Share one physical matcher/storage entry among subscriptions whose
-  /// installs are interchangeable for delivery: identical destination and
-  /// bit-identical predicates (and epoch where `t` matters). Removal is
-  /// refcounted, so delivery sets are unchanged — this only shrinks the
-  /// matcher population under duplicate-heavy workloads.
-  bool dedup_identical = true;
   /// Matcher shards (ShardedMatcher): subscriptions are hash-partitioned
   /// across this many independent matcher instances and match() fans out to
   /// the shared worker pool. 0 resolves to the EVPS_MATCHER_THREADS
@@ -121,9 +108,11 @@ struct EngineConfig {
   std::size_t matcher_threads = 0;
 };
 
-/// Refcounted install-sharing groups (EngineConfig::dedup_identical). Keys
-/// must be injective over delivery behaviour: two ids may share a key only
-/// when installing either produces the same matches to the same destination.
+/// Refcounted install-sharing groups: engines install one physical matcher/
+/// storage entry per group of interchangeable subscriptions, which only
+/// shrinks the matcher population. Keys must be injective over delivery
+/// behaviour: two ids may share a key only when installing either produces
+/// the same matches to the same destination.
 /// The first member of a group is its *canonical* id — the one physically
 /// installed; when it leaves, the table nominates a surviving member to
 /// reinstall under.
@@ -301,9 +290,9 @@ class BrokerEngine {
   [[nodiscard]] Duration effective_tt(const Subscription& sub) const noexcept;
 
   /// Install a FULLY-static subscription into the matcher, sharing one
-  /// matcher entry per identical (destination, predicates) group when
-  /// config_.dedup_identical. Sound because the matcher result is only ever
-  /// mapped to the canonical member's destination, which all members share.
+  /// matcher entry per identical (destination, predicates) group. Sound
+  /// because the matcher result is only ever mapped to the canonical
+  /// member's destination, which all members share.
   /// Must not be used for split (static half of evolving) installs: those
   /// are keyed by subscription id in the lazy stores (note_m1).
   void matcher_add_static(const Installed& entry);

@@ -60,7 +60,7 @@ void LeesEngine::do_add(const Installed& entry, EngineHost& /*host*/) {
     return;
   }
   const auto static_part = sub.static_predicates();
-  if (static_part.empty() && config_.dedup_identical) {
+  if (static_part.empty()) {
     // Fully-evolving: share one LEME part per identical group. The key is
     // built (and programs compiled) before any state changes, so compile
     // failures leave the engine untouched; the canonical install is undone

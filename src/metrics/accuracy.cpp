@@ -1,6 +1,9 @@
 #include "metrics/accuracy.hpp"
 
 #include <algorithm>
+#include <string>
+
+#include "message/codec.hpp"
 
 namespace evps {
 
@@ -12,6 +15,26 @@ DeliveryLog collect_delivery_log(const Overlay& overlay) {
     for (const auto& d : client->deliveries()) set.insert(d.pub.id());
   }
   return log;
+}
+
+std::uint64_t delivery_fingerprint(const Overlay& overlay) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::string_view bytes) {
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const auto& client : overlay.clients()) {
+    for (const auto& d : client->deliveries()) {
+      mix(client->name());
+      mix("@");
+      mix(std::to_string(d.when.micros()));
+      mix(":");
+      mix(serialize(d.pub));
+    }
+  }
+  return h;
 }
 
 AccuracyResult compare_logs(const DeliveryLog& truth, const DeliveryLog& actual) {

@@ -35,6 +35,13 @@ struct DeliveryLog {
 /// deliveries get no entry (harmless for comparison).
 [[nodiscard]] DeliveryLog collect_delivery_log(const Overlay& overlay);
 
+/// FNV-1a over every client's delivery records in client order: client
+/// name, delivery instant and serialized publication. Equal fingerprints
+/// mean the same publications reached the same clients at the same instants
+/// in the same order — the bit-identity witness of the sweep determinism
+/// suites and of the overlay benches' self-checks.
+[[nodiscard]] std::uint64_t delivery_fingerprint(const Overlay& overlay);
+
 struct AccuracyResult {
   std::uint64_t truth_deliveries = 0;
   std::uint64_t actual_deliveries = 0;

@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <vector>
 
 namespace evps {
 
@@ -26,21 +24,7 @@ struct CoveringCounters {
   /// reach misses directions the old root served.
   std::uint64_t resubscribes = 0;
 
-  /// Net subscription-dissemination messages avoided (can exceed the raw
-  /// suppression count's complement: retractions and re-disseminations are
-  /// traffic the optimisation itself emits).
-  [[nodiscard]] std::int64_t net_saved() const noexcept {
-    return static_cast<std::int64_t>(suppressed_forwards) -
-           static_cast<std::int64_t>(demote_unsubscribes) -
-           static_cast<std::int64_t>(resubscribes);
-  }
-
   void reset() noexcept { *this = CoveringCounters{}; }
 };
-
-/// Print one row per broker plus a totals row: covering-pair verdicts from
-/// each broker's CoveringIndex and the traffic counters above.
-class Broker;
-void print_covering_report(const std::vector<const Broker*>& brokers, std::ostream& os);
 
 }  // namespace evps

@@ -5,6 +5,26 @@
 
 namespace evps {
 
+Subscription moving_aoi(double x, double y, double dx, double dy, double half_w, double half_h,
+                        bool visibility) {
+  // Bound form: x in [x + dx*t -/+ half_w * v], y analogous. Without the
+  // visibility variable the v factor is dropped (v == 1).
+  const auto bound = [&](double origin, double velocity, double half_extent, bool lower) {
+    ExprPtr moving = Expr::add(Expr::constant(origin),
+                               Expr::mul(Expr::constant(velocity), Expr::variable("t")));
+    ExprPtr extent = visibility ? Expr::mul(Expr::constant(half_extent), Expr::variable("v"))
+                                : Expr::constant(half_extent);
+    return lower ? Expr::sub(std::move(moving), std::move(extent))
+                 : Expr::add(std::move(moving), std::move(extent));
+  };
+  Subscription sub;
+  sub.add(Predicate{"x", RelOp::kGe, bound(x, dx, half_w, true)});
+  sub.add(Predicate{"x", RelOp::kLe, bound(x, dx, half_w, false)});
+  sub.add(Predicate{"y", RelOp::kGe, bound(y, dy, half_h, true)});
+  sub.add(Predicate{"y", RelOp::kLe, bound(y, dy, half_h, false)});
+  return sub;
+}
+
 GameExperiment::GameExperiment(const GameConfig& config)
     : cfg_(config), overlay_(sim_), rng_(config.seed) {
   if (cfg_.clients == 0 || cfg_.characters == 0) {
@@ -55,24 +75,8 @@ void GameExperiment::pick_direction(Character& ch) {
 
 Subscription GameExperiment::make_evolving_subscription(const Character& ch,
                                                         SimTime /*now*/) const {
-  // Bound form: x in [x0 + dx*t -/+ hw * v], y analogous. Without the
-  // visibility experiment the v factor is dropped (v == 1).
-  const auto moving = [&](double origin, double velocity) {
-    return Expr::add(Expr::constant(origin),
-                     Expr::mul(Expr::constant(velocity), Expr::variable("t")));
-  };
-  const auto bound = [&](double origin, double velocity, double half_extent, bool lower) {
-    ExprPtr extent = cfg_.use_visibility
-                         ? Expr::mul(Expr::constant(half_extent), Expr::variable("v"))
-                         : Expr::constant(half_extent);
-    return lower ? Expr::sub(moving(origin, velocity), std::move(extent))
-                 : Expr::add(moving(origin, velocity), std::move(extent));
-  };
-  Subscription sub;
-  sub.add(Predicate{"x", RelOp::kGe, bound(ch.x, ch.dx, cfg_.half_width, true)});
-  sub.add(Predicate{"x", RelOp::kLe, bound(ch.x, ch.dx, cfg_.half_width, false)});
-  sub.add(Predicate{"y", RelOp::kGe, bound(ch.y, ch.dy, cfg_.half_height, true)});
-  sub.add(Predicate{"y", RelOp::kLe, bound(ch.y, ch.dy, cfg_.half_height, false)});
+  Subscription sub = moving_aoi(ch.x, ch.y, ch.dx, ch.dy, cfg_.half_width, cfg_.half_height,
+                                cfg_.use_visibility);
   sub.set_mei(cfg_.mei);
   sub.set_tt(cfg_.tt);
   sub.set_validity(cfg_.move_epoch);

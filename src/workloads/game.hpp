@@ -84,6 +84,13 @@ struct GameConfig {
   SimTime duration = SimTime::from_seconds(60.0);
 };
 
+/// Figure 1's moving area of interest: the rectangle centred on
+/// (x + dx·t, y + dy·t) with half extents `half_w` × `half_h`, scaled by the
+/// visibility variable `v` when `visibility` is set. Predicates only; the
+/// caller sets id, epoch, MEI, TT and validity.
+[[nodiscard]] Subscription moving_aoi(double x, double y, double dx, double dy, double half_w,
+                                      double half_h, bool visibility);
+
 class GameExperiment {
  public:
   explicit GameExperiment(const GameConfig& config);

@@ -2,32 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
-#include <string>
-#include <utility>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "message/codec.hpp"
 #include "metrics/accuracy.hpp"
 #include "stats/quantile_sketch.hpp"
+#include "workloads/star.hpp"
 
 namespace evps {
 
 namespace {
 
-/// FNV-1a 64-bit over a byte string.
-void fnv1a(std::uint64_t& h, std::string_view bytes) noexcept {
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-}
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+/// Game characters: the largest base population a scenario profile scales.
+constexpr std::size_t kGameCharacters = 48;
 
 [[nodiscard]] std::size_t scaled(std::size_t base, double scale) {
-  const double v = std::llround(static_cast<double>(base) * scale);
+  const double v = std::round(static_cast<double>(base) * scale);
   return static_cast<std::size_t>(std::max(1.0, v));
 }
 
@@ -36,7 +27,7 @@ struct RunExtract {
   DeliveryLog log;
   QuantileSketch latency;
   OnlineStats latency_stats;
-  std::uint64_t fingerprint = kFnvOffset;
+  std::uint64_t fingerprint = 0;
   std::uint64_t overlay_msgs = 0;
   std::uint64_t subscription_msgs = 0;
 
@@ -46,6 +37,7 @@ struct RunExtract {
 RunExtract extract_run(Overlay& overlay, double eps) {
   RunExtract out{eps};
   out.log = collect_delivery_log(overlay);
+  out.fingerprint = delivery_fingerprint(overlay);
   out.overlay_msgs = overlay.network().messages_sent();
   out.subscription_msgs = overlay.total_subscription_msgs();
   for (const auto& client : overlay.clients()) {
@@ -53,11 +45,6 @@ RunExtract extract_run(Overlay& overlay, double eps) {
       const double latency = (d.when - d.pub.entry_time()).count_seconds();
       out.latency.add(latency);
       out.latency_stats.add(latency);
-      fnv1a(out.fingerprint, client->name());
-      fnv1a(out.fingerprint, "@");
-      fnv1a(out.fingerprint, std::to_string(d.when.micros()));
-      fnv1a(out.fingerprint, ":");
-      fnv1a(out.fingerprint, serialize(d.pub));
     }
   }
   return out;
@@ -88,6 +75,22 @@ ReplicaMetrics reduce(std::uint64_t seed, const RunExtract& actual, const Delive
   return m;
 }
 
+/// Run a game or hft experiment, then its ground-truth twin: the same
+/// config on the centralised system, one matcher shard, no link batching.
+template <typename Experiment, typename Config>
+ReplicaMetrics run_with_twin(const SweepOptions& o, std::uint64_t seed, Config cfg) {
+  Experiment actual(cfg);
+  actual.run();
+  const RunExtract ex = extract_run(actual.overlay(), o.latency_eps);
+
+  cfg.system = SystemKind::kGroundTruth;
+  cfg.matcher_threads = 0;
+  cfg.link_batch_size = 1;
+  Experiment truth(cfg);
+  truth.run();
+  return reduce(seed, ex, truth.delivery_log());
+}
+
 // --- game ------------------------------------------------------------------
 
 GameConfig game_profile(const SweepOptions& o, std::uint64_t seed) {
@@ -99,27 +102,12 @@ GameConfig game_profile(const SweepOptions& o, std::uint64_t seed) {
   cfg.link_batch_size = o.link_batch_size;
   // Scaled-down profile: hundreds of replicas must fit in minutes on one
   // core, and capacity planning needs replica *count*, not replica size.
-  cfg.characters = scaled(48, o.scale);
+  cfg.characters = scaled(kGameCharacters, o.scale);
   cfg.clients = scaled(12, o.scale);
   cfg.pub_rate = 40.0;
   cfg.move_epoch = Duration::seconds(4.0);
   cfg.duration = SimTime::from_seconds(20.0);
   return cfg;
-}
-
-ReplicaMetrics run_game_replica(const SweepOptions& o, std::uint64_t seed) {
-  GameConfig cfg = game_profile(o, seed);
-  GameExperiment actual(cfg);
-  actual.run();
-  const RunExtract ex = extract_run(actual.overlay(), o.latency_eps);
-
-  GameConfig truth_cfg = cfg;
-  truth_cfg.system = SystemKind::kGroundTruth;
-  truth_cfg.matcher_threads = 0;
-  truth_cfg.link_batch_size = 1;
-  GameExperiment truth(truth_cfg);
-  truth.run();
-  return reduce(seed, ex, truth.delivery_log());
 }
 
 // --- hft -------------------------------------------------------------------
@@ -141,175 +129,39 @@ HftConfig hft_profile(const SweepOptions& o, std::uint64_t seed) {
   return cfg;
 }
 
-ReplicaMetrics run_hft_replica(const SweepOptions& o, std::uint64_t seed) {
-  HftConfig cfg = hft_profile(o, seed);
-  HftExperiment actual(cfg);
-  actual.run();
-  const RunExtract ex = extract_run(actual.overlay(), o.latency_eps);
-
-  HftConfig truth_cfg = cfg;
-  truth_cfg.system = SystemKind::kGroundTruth;
-  truth_cfg.matcher_threads = 0;
-  truth_cfg.link_batch_size = 1;
-  HftExperiment truth(truth_cfg);
-  truth.run();
-  return reduce(seed, ex, truth.delivery_log());
-}
-
 // --- game_rotated ----------------------------------------------------------
 //
-// Rotated-coordinate moving zones (DESIGN.md §16, examples/scenarios/
-// game_rotated.evps): interest zones in u = x + y, w = x - y coordinates
-// around per-cluster moving centres (cu_k, cw_k). Exercises advertisement
-// routing plus the covering/relational stack under evolving variables — the
-// sweep dimension the plain game scenario (one broker) cannot reach. All
-// directives (subscriptions, centre updates, publications) are generated
-// once from the replica seed, then replayed into both the distributed star
-// overlay and a centralised zero-latency twin; accuracy measures what the
-// propagation delay of centre updates costs.
+// The star workload of workloads/star.hpp: advertisement routing plus the
+// covering/relational stack under evolving variables — the sweep dimension
+// the plain game scenario (one broker) cannot reach. The generated inputs
+// are replayed into both the distributed star and a centralised
+// zero-latency twin; accuracy measures what the propagation delay of centre
+// updates costs.
 
-struct RotatedWorkload {
-  struct Var {
-    std::string name;
-    double lo, hi, value;
-  };
-  struct Update {
-    double t;
-    std::string name;
-    double value;
-  };
-  std::vector<Var> vars;
-  std::string adv = "u >= 0; u <= 2000; w >= -1000; w <= 1000";
-  std::vector<std::string> subs;
-  std::vector<Update> updates;
-  std::vector<std::pair<double, std::string>> pubs;  // (time, publication text)
-};
-
-std::string fmt_num(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-std::string shifted(const std::string& var, double d) {
-  return d < 0 ? var + " - " + fmt_num(-d) : var + " + " + fmt_num(d);
-}
-
-RotatedWorkload make_rotated(std::uint64_t seed, double scale) {
-  RotatedWorkload w;
-  Rng rng{seed};
-  const std::size_t clusters = scaled(3, scale);
-  constexpr int kZonesPerCluster = 4;
-  constexpr double kDuration = 16.0;
-
-  std::vector<double> cu(clusters), cw(clusters);
-  for (std::size_t k = 0; k < clusters; ++k) {
-    const std::string su = "cu" + std::to_string(k);
-    const std::string sw = "cw" + std::to_string(k);
-    cu[k] = rng.uniform(200.0, 800.0);
-    cw[k] = rng.uniform(-400.0, 400.0);
-    w.vars.push_back({su, 100.0, 900.0, cu[k]});
-    w.vars.push_back({sw, -500.0, 500.0, cw[k]});
-
-    // Wide coverer first; narrower zones around the same centre, some
-    // provably inside it (relational covering), some poking out.
-    w.subs.push_back("[tt=0.5] u >= " + shifted(su, -60) + "; u <= " + shifted(su, 60) +
-                     "; w >= " + shifted(sw, -60) + "; w <= " + shifted(sw, 60));
-    for (int z = 1; z < kZonesPerCluster; ++z) {
-      const double r = rng.uniform(10.0, 50.0);
-      const double ou = rng.uniform(-20.0, 20.0);
-      const double ow = rng.uniform(-20.0, 20.0);
-      w.subs.push_back("[tt=0.5] u >= " + shifted(su, ou - r) + "; u <= " + shifted(su, ou + r) +
-                       "; w >= " + shifted(sw, ow - r) + "; w <= " + shifted(sw, ow + r));
-    }
-  }
-
-  // Centres drift every 2 s: a clamped random walk inside the declared range.
-  for (double t = 6.0; t < kDuration; t += 2.0) {
-    for (std::size_t k = 0; k < clusters; ++k) {
-      cu[k] = std::clamp(cu[k] + rng.uniform(-40.0, 40.0), 100.0, 900.0);
-      cw[k] = std::clamp(cw[k] + rng.uniform(-40.0, 40.0), -500.0, 500.0);
-      w.updates.push_back({t, "cu" + std::to_string(k), cu[k]});
-      w.updates.push_back({t, "cw" + std::to_string(k), cw[k]});
-    }
-  }
-
-  // Publication feed: mostly hotspot events near a cluster's current centre,
-  // the rest uniform background over the advertised space.
-  for (double t = 4.0; t < kDuration; t += 0.1) {
-    double u = 0, v = 0;
-    if (rng.bernoulli(0.7)) {
-      const auto k = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(clusters) - 1));
-      u = cu[k] + rng.uniform(-70.0, 70.0);
-      v = cw[k] + rng.uniform(-70.0, 70.0);
-    } else {
-      u = rng.uniform(0.0, 2000.0);
-      v = rng.uniform(-1000.0, 1000.0);
-    }
-    w.pubs.emplace_back(t, "u = " + fmt_num(u) + "; w = " + fmt_num(v));
-  }
-  return w;
-}
-
-RunExtract run_rotated_overlay(const RotatedWorkload& w, const SweepOptions& o, bool truth) {
-  Simulator sim;
-  Overlay overlay{sim};
-
+ReplicaMetrics run_rotated_replica(const SweepOptions& o, std::uint64_t seed) {
+  const StarWorkload w = make_rotated(seed, scaled(3, o.scale));
   BrokerConfig cfg;
   cfg.engine.kind = EngineKind::kLees;
   cfg.engine.matcher = o.matcher;
-  cfg.engine.matcher_threads = truth ? 0 : o.matcher_threads;
+  cfg.engine.matcher_threads = o.matcher_threads;
   cfg.routing = RoutingMode::kAdvertisement;
-  cfg.covering = !truth;
-  cfg.relational_covering = !truth;
-  cfg.link_batch_size = truth ? 1 : o.link_batch_size;
+  cfg.covering = true;
+  cfg.relational_covering = true;
+  cfg.link_batch_size = o.link_batch_size;
+  BrokerConfig truth_cfg = cfg;
+  truth_cfg.engine.matcher_threads = 0;
+  truth_cfg.covering = false;
+  truth_cfg.relational_covering = false;
+  truth_cfg.link_batch_size = 1;
 
-  constexpr std::size_t kEdges = 3;
-  std::vector<Broker*> brokers;
-  if (truth) {
-    brokers.push_back(&overlay.add_broker("central", cfg));
-  } else {
-    brokers = overlay.build_star(kEdges, cfg, Duration::millis(5));
-  }
-  for (Broker* b : brokers) {
-    for (const auto& v : w.vars) b->variables().declare_range(v.name, v.lo, v.hi);
-  }
-  for (const auto& v : w.vars) brokers[0]->set_variable(v.name, v.value);
-
-  // Client creation order is identical in both overlays so ClientIds — and
-  // therefore publication MessageIds — line up for the accuracy comparison.
-  const Duration client_link = truth ? Duration::zero() : Duration::millis(2);
-  std::vector<PubSubClient*> subscribers;
-  for (std::size_t i = 0; i < w.subs.size(); ++i) {
-    PubSubClient& c = overlay.add_client("zone" + std::to_string(i));
-    Broker& attach = truth ? *brokers[0] : *brokers[1 + i % kEdges];
-    c.connect(attach, client_link);
-    subscribers.push_back(&c);
-  }
-  PubSubClient& publisher = overlay.add_client("events");
-  publisher.connect(truth ? *brokers[0] : *brokers[1], client_link);
-
-  sim.after(Duration::zero(), [&] { publisher.advertise(parse_subscription(w.adv).predicates()); });
-  for (std::size_t i = 0; i < w.subs.size(); ++i) {
-    sim.after(Duration::seconds(1.0 + 0.01 * static_cast<double>(i)),
-              [&, i] { subscribers[i]->subscribe(w.subs[i]); });
-  }
-  for (const auto& u : w.updates) {
-    sim.at(SimTime::from_seconds(u.t), [&] { brokers[0]->set_variable(u.name, u.value); });
-  }
-  for (const auto& [t, text] : w.pubs) {
-    sim.at(SimTime::from_seconds(t), [&, &text = text] { publisher.publish(text); });
-  }
-  sim.run_until(SimTime::from_seconds(20.0));
-  return extract_run(overlay, o.latency_eps);
-}
-
-ReplicaMetrics run_rotated_replica(const SweepOptions& o, std::uint64_t seed) {
-  const RotatedWorkload w = make_rotated(seed, o.scale);
-  const RunExtract actual = run_rotated_overlay(w, o, /*truth=*/false);
-  const RunExtract truth = run_rotated_overlay(w, o, /*truth=*/true);
-  return reduce(seed, actual, truth.log);
+  const auto run = [&](const BrokerConfig& c, bool central) {
+    Simulator sim;
+    Overlay overlay{sim};
+    run_star(w, c, central, overlay);
+    return extract_run(overlay, o.latency_eps);
+  };
+  const RunExtract actual = run(cfg, /*central=*/false);
+  return reduce(seed, actual, run(truth_cfg, /*central=*/true).log);
 }
 
 }  // namespace
@@ -321,6 +173,10 @@ std::uint64_t derive_replica_seed(std::uint64_t root, std::size_t index) noexcep
   return splitmix64(state);
 }
 
+bool valid_scale(double scale) noexcept {
+  return scale > 0 && std::round(static_cast<double>(kGameCharacters) * scale) < 0x1p64;
+}
+
 std::optional<SweepScenario> parse_sweep_scenario(std::string_view name) noexcept {
   if (name == "game") return SweepScenario::kGame;
   if (name == "hft") return SweepScenario::kHft;
@@ -330,8 +186,10 @@ std::optional<SweepScenario> parse_sweep_scenario(std::string_view name) noexcep
 
 ReplicaMetrics run_replica(const SweepOptions& options, std::uint64_t seed) {
   switch (options.scenario) {
-    case SweepScenario::kGame: return run_game_replica(options, seed);
-    case SweepScenario::kHft: return run_hft_replica(options, seed);
+    case SweepScenario::kGame:
+      return run_with_twin<GameExperiment>(options, seed, game_profile(options, seed));
+    case SweepScenario::kHft:
+      return run_with_twin<HftExperiment>(options, seed, hft_profile(options, seed));
     case SweepScenario::kGameRotated: return run_rotated_replica(options, seed);
   }
   throw std::invalid_argument("unknown sweep scenario");
@@ -361,6 +219,7 @@ MetricSummary summarize_metric(std::span<const double> values) {
 
 SweepResult run_sweep(const SweepOptions& options) {
   if (options.replicas == 0) throw std::invalid_argument("run_sweep: replicas must be >= 1");
+  if (!valid_scale(options.scale)) throw std::invalid_argument("run_sweep: invalid scale");
   SweepOptions opts = options;
   // Pin the effective link batch so results never depend on EVPS_LINK_BATCH.
   if (opts.link_batch_size == 0) opts.link_batch_size = 1;

@@ -48,7 +48,7 @@ namespace evps {
 enum class SweepScenario {
   kGame,         ///< single-broker MMOG workload (workloads/game.hpp)
   kHft,          ///< 13-broker HFT tree (workloads/hft.hpp)
-  kGameRotated,  ///< star overlay, rotated-coordinate moving zones, covering on
+  kGameRotated,  ///< star overlay, rotated-coordinate moving zones (workloads/star.hpp)
 };
 
 [[nodiscard]] constexpr const char* to_string(SweepScenario s) noexcept {
@@ -61,6 +61,10 @@ enum class SweepScenario {
 }
 
 [[nodiscard]] std::optional<SweepScenario> parse_sweep_scenario(std::string_view name) noexcept;
+
+/// True when `scale` is positive and every scenario's scaled population
+/// fits a std::size_t.
+[[nodiscard]] bool valid_scale(double scale) noexcept;
 
 struct SweepOptions {
   SweepScenario scenario = SweepScenario::kGame;
@@ -81,7 +85,8 @@ struct SweepOptions {
   /// depend on the EVPS_LINK_BATCH environment override.
   std::size_t link_batch_size = 0;
 
-  /// Multiplies the scenario's population (characters / clients / clusters).
+  /// Multiplies the scenario's population (characters / clients / clusters);
+  /// see valid_scale().
   double scale = 1.0;
   /// Rank-error fraction of the per-replica latency sketch.
   double latency_eps = 0.005;

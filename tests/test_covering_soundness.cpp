@@ -10,9 +10,14 @@
 //     scripted workload (nested subscriptions, evolving bounds, variable
 //     churn, coverer removal mid-run) with covering-based routing off and
 //     on. Delivery logs must be bit-identical; the covering run must save
-//     subscription-dissemination messages.
+//     subscription-dissemination messages;
+//   * rotated zones — the game_rotated workload (workloads/star.hpp) over
+//     many seeds, with every coverer leaving mid-run and, in half the runs,
+//     arriving last so that it demotes the narrower zones: covering off,
+//     per-attribute and relational must deliver bit-identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -26,6 +31,8 @@
 #include "common/rng.hpp"
 #include "expr_oracle.hpp"
 #include "message/codec.hpp"
+#include "metrics/accuracy.hpp"
+#include "workloads/star.hpp"
 
 namespace evps {
 namespace {
@@ -432,6 +439,73 @@ TEST(CoveringSoundness, UpdateReparentingKeepsDeliveriesBitIdentical) {
   EXPECT_GT(on.resubscribes, 0u);         // re-parent + promoted-root forwards
   EXPECT_GT(on.demote_unsubscribes, 0u);  // W retracted behind the updated V
   EXPECT_LT(on.subscription_msgs, off.subscription_msgs);
+}
+
+// --- rotated zones: deliveries identical across covering modes --------------
+
+struct RotatedRun {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t deliveries = 0;
+  std::uint64_t relational_proofs = 0;
+  std::uint64_t demote_unsubscribes = 0;
+  std::uint64_t resubscribes = 0;
+};
+
+RotatedRun run_rotated(const StarWorkload& w, bool covering, bool relational) {
+  Simulator sim;
+  Overlay overlay{sim};
+  BrokerConfig cfg;
+  cfg.engine.kind = EngineKind::kLees;
+  cfg.routing = RoutingMode::kAdvertisement;
+  cfg.covering = covering;
+  cfg.relational_covering = relational;
+  run_star(w, cfg, /*central=*/false, overlay);
+  RotatedRun r;
+  r.fingerprint = delivery_fingerprint(overlay);
+  for (const auto& c : overlay.clients()) r.deliveries += c->deliveries().size();
+  for (const auto& b : overlay.brokers()) {
+    r.relational_proofs += b->covering_stats().relational;
+    r.demote_unsubscribes += b->covering_counters().demote_unsubscribes;
+    r.resubscribes += b->covering_counters().resubscribes;
+  }
+  return r;
+}
+
+TEST(CoveringSoundness, RotatedZonesDeliveriesIdenticalAcrossCoveringModes) {
+  std::uint64_t demotes = 0;
+  std::uint64_t resubscribes = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    for (const std::size_t clusters : {std::size_t{3}, std::size_t{12}}) {
+      for (const bool coverer_last : {false, true}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", " + std::to_string(clusters) +
+                     " clusters, coverer " + (coverer_last ? "last" : "first"));
+        StarWorkload w = make_rotated(seed, clusters);
+        for (std::size_t k = 0; k < clusters; ++k) {
+          // Each cluster generates its coverer first. Moved last, it arrives
+          // after the narrower zones and demotes the ones it covers.
+          const std::size_t first = k * kRotatedZonesPerCluster;
+          const std::size_t last = first + kRotatedZonesPerCluster - 1;
+          if (coverer_last) {
+            const auto begin = w.subs.begin() + static_cast<std::ptrdiff_t>(first);
+            std::rotate(begin, begin + 1, begin + kRotatedZonesPerCluster);
+          }
+          w.unsubs.push_back({9.0, coverer_last ? last : first});
+        }
+        const RotatedRun off = run_rotated(w, false, false);
+        const RotatedRun per_attr = run_rotated(w, true, false);
+        const RotatedRun rel = run_rotated(w, true, true);
+        EXPECT_GT(off.deliveries, 0u);
+        EXPECT_EQ(per_attr.fingerprint, off.fingerprint);
+        EXPECT_EQ(rel.fingerprint, off.fingerprint);
+        EXPECT_GT(rel.relational_proofs, 0u);
+        demotes += rel.demote_unsubscribes;
+        resubscribes += rel.resubscribes;
+      }
+    }
+  }
+  // The sweep exercises both covering transitions the workload exists for.
+  EXPECT_GT(demotes, 0u);
+  EXPECT_GT(resubscribes, 0u);
 }
 
 }  // namespace

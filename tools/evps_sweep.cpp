@@ -19,12 +19,14 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/string_util.hpp"
 #include "metrics/report.hpp"
+#include "stats/quantile_sketch.hpp"
 #include "workloads/sweep.hpp"
 
 namespace {
@@ -162,13 +164,16 @@ int main(int argc, char** argv) {
         opts.selfcheck = true;
       } else if (arg == "--quiet") {
         opts.quiet = true;
+      } else if (parse_number_flag(arg, "--scale=", opts.sweep.scale)) {
+        if (!valid_scale(opts.sweep.scale)) throw std::invalid_argument("scale");
+      } else if (parse_number_flag(arg, "--eps=", opts.sweep.latency_eps)) {
+        // The latency sketch throws std::invalid_argument on an eps it rejects.
+        static_cast<void>(QuantileSketch{opts.sweep.latency_eps});
       } else if (parse_number_flag(arg, "--replicas=", opts.sweep.replicas) ||
                  parse_number_flag(arg, "--seed=", opts.sweep.root_seed) ||
                  parse_number_flag(arg, "--workers=", opts.sweep.workers) ||
                  parse_number_flag(arg, "--shards=", opts.sweep.matcher_threads) ||
-                 parse_number_flag(arg, "--link-batch=", opts.sweep.link_batch_size) ||
-                 parse_number_flag(arg, "--scale=", opts.sweep.scale) ||
-                 parse_number_flag(arg, "--eps=", opts.sweep.latency_eps)) {
+                 parse_number_flag(arg, "--link-batch=", opts.sweep.link_batch_size)) {
         // handled
       } else if (arg == "--help" || arg == "-h") {
         help = true;
@@ -224,8 +229,8 @@ int main(int argc, char** argv) {
         << "  --routing=MODE           flooding|advertisement, hft only (default flooding)\n"
         << "  --shards=N               matcher shards per broker (default 0 = single)\n"
         << "  --link-batch=N           per-link batch size (default 1)\n"
-        << "  --scale=F                population scale factor (default 1.0)\n"
-        << "  --eps=F                  latency sketch rank error (default 0.005)\n"
+        << "  --scale=F                population scale factor, > 0 (default 1.0)\n"
+        << "  --eps=F                  latency sketch rank error, in (0, 0.5) (default 0.005)\n"
         << "  --out=PATH               JSON results file (default BENCH_sweep.json)\n"
         << "  --selfcheck              re-run replica 0, require bit-identical metrics\n"
         << "  --quiet                  suppress the summary tables\n"
