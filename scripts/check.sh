@@ -10,8 +10,8 @@ usage() {
   cat <<'EOF'
 Usage: scripts/check.sh [--quick] [--help]
 
-  --quick   default preset only (skip sanitizers, lint, bench smoke and the
-            sharded re-run)
+  --quick   default preset only (skip sanitizers, lint, bench smoke, the
+            sharded re-run and the perfbench self-test)
   --help    this text
 
 Full mode runs, in order:
@@ -33,7 +33,10 @@ Full mode runs, in order:
   4. sharded re-run        the default-preset ctest again with
                            EVPS_MATCHER_THREADS=4 exported, so the whole
                            behavioural suite (delivery order, equivalence,
-                           soundness) proves bit-identical results at K=4.
+                           soundness) must pass at K=4 — with bit-identical
+                           deliveries for static, VES and LEES, and CLEES
+                           and hybrid versions within TT (DESIGN.md §11);
+                           count-exact suites pin K=1.
   5. link-batch re-run     the default-preset ctest again with
                            EVPS_LINK_BATCH=64 exported: every broker batches
                            per-link forwards and deliveries (DESIGN.md §14),
@@ -50,6 +53,11 @@ Full mode runs, in order:
                            --selftest, and a same-parameters comparison
                            that must report zero significant deltas.
   8. clang-tidy lint, bench smoke
+  9. perfbench self-test   builds the end-to-end benchmark (perfbench/, an
+                           optimised build under .bench_build/) against the
+                           library and runs its self-test: determinism,
+                           trace neutrality and the delivery-preserving
+                           knobs of zones_clees.
 EOF
 }
 
@@ -146,6 +154,11 @@ if [[ "${QUICK}" == "0" ]]; then
     esac
     echo "ok: ${bench}"
   done
+
+  echo "=== perfbench self-test ==="
+  # The benchmark compiles against the library's counters and engine API, so
+  # a library change can break it; this builds it and checks its output.
+  python3 perfbench/tests/selftest.py
 fi
 
 echo "All checks passed."

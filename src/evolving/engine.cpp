@@ -7,7 +7,6 @@
 #include "evolving/clees_engine.hpp"
 #include "evolving/hybrid_engine.hpp"
 #include "evolving/lees_engine.hpp"
-#include "evolving/parametric_engine.hpp"
 #include "evolving/static_engine.hpp"
 #include "evolving/ves_engine.hpp"
 
@@ -183,16 +182,22 @@ void BrokerEngine::match_batch(std::span<const Publication* const> pubs,
   batch_counters_.record(pubs.size(), std::chrono::duration<double>(end - start).count());
 }
 
-void BrokerEngine::do_match_batch(std::span<const Publication* const> pubs,
-                                  const VariableSnapshot* snapshot, EngineHost& host,
-                                  std::vector<std::vector<NodeId>>& destinations) {
-  for (std::size_t i = 0; i < pubs.size(); ++i) {
-    do_match(*pubs[i], snapshot, host, destinations[i]);
+void BrokerEngine::do_match(const Publication& pub, const VariableSnapshot* /*snapshot*/,
+                            EngineHost& /*host*/, std::vector<NodeId>& destinations) {
+  m1_.clear();
+  {
+    const ScopedTimer timer(costs_.match);
+    matcher_->match(pub, m1_);
+  }
+  for (const auto id : m1_) {
+    const Installed* entry = installed_entry(id);
+    if (entry != nullptr) destinations.push_back(entry->dest);
   }
 }
 
-void BrokerEngine::matcher_only_match_batch(std::span<const Publication* const> pubs,
-                                            std::vector<std::vector<NodeId>>& destinations) {
+void BrokerEngine::do_match_batch(std::span<const Publication* const> pubs,
+                                  const VariableSnapshot* /*snapshot*/, EngineHost& /*host*/,
+                                  std::vector<std::vector<NodeId>>& destinations) {
   {
     const ScopedTimer timer(costs_.match);
     matcher_->match_batch(pubs, m1_batch_);
@@ -238,13 +243,6 @@ void BrokerEngine::export_audit_state(audit::EngineState& out) const {
                                       const std::vector<SubscriptionId>& members) {
     out.dedup_groups.push_back(audit::DedupGroup{key, members, /*lazy=*/false});
   });
-}
-
-EvalScope& BrokerEngine::publication_scope(const Publication& pub,
-                                           const VariableSnapshot* snapshot,
-                                           const VariableRegistry& registry, SimTime now) {
-  rebind_publication_scope(scope_, pub, snapshot, registry, now);
-  return scope_;
 }
 
 void BrokerEngine::rebind_publication_scope(EvalScope& scope, const Publication& pub,
@@ -300,8 +298,8 @@ Duration BrokerEngine::effective_tt(const Subscription& sub) const noexcept {
 
 BrokerEnginePtr make_engine(const EngineConfig& config) {
   switch (config.kind) {
-    case EngineKind::kStatic: return std::make_unique<StaticEngine>(config);
-    case EngineKind::kParametric: return std::make_unique<ParametricEngine>(config);
+    case EngineKind::kStatic:
+    case EngineKind::kParametric: return std::make_unique<StaticEngine>(config);
     case EngineKind::kVes: return std::make_unique<VesEngine>(config);
     case EngineKind::kLees: return std::make_unique<LeesEngine>(config);
     case EngineKind::kClees: return std::make_unique<CleesEngine>(config);

@@ -5,9 +5,9 @@
 // evolving designs, the evolution machinery of Section IV/V:
 //
 //   * StaticEngine     — plain matcher; evolving subscriptions rejected.
-//                        Used by the resubscription baseline.
-//   * ParametricEngine — plain matcher + in-place subscription updates
-//                        (the parametric-subscriptions baseline [12]).
+//                        Used by the resubscription baseline, and by the
+//                        parametric-subscriptions baseline [12], whose
+//                        in-place updates are BrokerEngine::update.
 //   * VesEngine        — Versioned Evolving Subscriptions: materialised
 //                        versions kept in the matcher, refreshed per MEI via
 //                        the Evolving Subscription Queue.
@@ -17,6 +17,9 @@
 //   * HybridEngine     — adaptive per-subscription switch between
 //                        timer-refreshed versions (VES-like) and lazy
 //                        caching (CLEES-like); the paper's future work.
+//
+// The three lazy engines share one sharded skeleton (lazy_engine.hpp) and
+// differ only in their per-part probe rule.
 //
 // Matching is destination-oriented: the broker registers each subscription
 // with the next hop (client or neighbour broker) it was received from, and
@@ -243,34 +246,28 @@ class BrokerEngine {
   // Subclass hooks. The base class maintains subs_ bookkeeping.
   virtual void do_add(const Installed& entry, EngineHost& host) = 0;
   virtual void do_remove(const Installed& entry, EngineHost& host) = 0;
+  /// Matching hook. The default is matcher-only (static, parametric and
+  /// VES): the matcher result mapped to destinations. Snapshots are ignored
+  /// there — they cannot retroactively change materialised versions
+  /// (Section V-D notes snapshots "render VES ineffective").
   virtual void do_match(const Publication& pub, const VariableSnapshot* snapshot,
-                        EngineHost& host, std::vector<NodeId>& destinations) = 0;
+                        EngineHost& host, std::vector<NodeId>& destinations);
 
-  /// Batch hook. The default simply loops do_match — exact by construction.
-  /// Overrides must produce identical destinations (pre-dedup order may
-  /// differ; the caller sorts). `destinations` is already sized and cleared.
+  /// Batch hook. Overrides must produce the destinations a do_match loop
+  /// would (pre-dedup order may differ; the caller sorts). `destinations` is
+  /// already sized and cleared. The default is matcher-only: one sharded
+  /// matcher dispatch for the whole batch, then per-publication id ->
+  /// destination mapping; the matcher timer records once per batch.
   virtual void do_match_batch(std::span<const Publication* const> pubs,
                               const VariableSnapshot* snapshot, EngineHost& host,
                               std::vector<std::vector<NodeId>>& destinations);
 
-  /// Batch implementation for matcher-only engines (Static/Parametric/VES):
-  /// one sharded matcher dispatch for the whole batch, then per-publication
-  /// id -> destination mapping. The matcher timer records once per batch.
-  void matcher_only_match_batch(std::span<const Publication* const> pubs,
-                                std::vector<std::vector<NodeId>>& destinations);
-
-  /// Rebind the engine-owned evaluation scope for `pub`. In snapshot mode
-  /// the scope is anchored at the publication entry time and the snapshot
-  /// values shadow the local registry; otherwise it evaluates at `now`.
-  /// Callers select the subscription epoch per evolving part via
+  /// Rebind `scope` for evaluating evolving parts against `pub`. In
+  /// snapshot mode the scope is anchored at the publication entry time and
+  /// the snapshot values shadow the local registry; otherwise it evaluates
+  /// at `now`. Callers select the subscription epoch per evolving part via
   /// EvalScope::set_epoch. Allocation-free once the variable universe is
   /// known.
-  [[nodiscard]] EvalScope& publication_scope(const Publication& pub,
-                                             const VariableSnapshot* snapshot,
-                                             const VariableRegistry& registry, SimTime now);
-
-  /// The rebinding behind publication_scope, applicable to any scope (the
-  /// sharded lazy engines keep one EvalScope per shard worker).
   static void rebind_publication_scope(EvalScope& scope, const Publication& pub,
                                        const VariableSnapshot* snapshot,
                                        const VariableRegistry& registry, SimTime now);
@@ -311,10 +308,11 @@ class BrokerEngine {
   EngineCosts costs_;
   BatchCounters batch_counters_;
 
-  // Per-publication scratch shared by the subclasses so that steady-state
-  // matching never allocates: the matcher result buffer, the evaluation
-  // scope (rebound, not rebuilt, each publication) and the value stack used
-  // by compiled expression programs.
+  // Scratch shared by the subclasses so that steady-state matching never
+  // allocates: the matcher result buffers, plus the evaluation scope
+  // (rebound, not rebuilt, per use) and the value stack of compiled
+  // expression programs for main-thread maintenance (VES versions, hybrid
+  // refreshes).
   std::vector<SubscriptionId> m1_;
   /// Batch counterpart of m1_: per-publication hit lists (grow-only).
   std::vector<std::vector<SubscriptionId>> m1_batch_;

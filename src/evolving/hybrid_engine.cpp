@@ -6,38 +6,13 @@ namespace evps {
 
 std::size_t HybridEngine::versioned_count() const noexcept {
   std::size_t n = 0;
-  for (const auto& [dest, group] : storage_.groups()) {
-    for (const auto& part : group.parts) {
-      if (part.extra.mode == Mode::kVersioned) ++n;
-    }
-  }
+  for_each_part([&n](NodeId /*dest*/, const Part& part) {
+    if (part.extra.mode == Mode::kVersioned) ++n;
+  });
   return n;
 }
 
-void HybridEngine::do_add(const Installed& entry, EngineHost& host) {
-  const auto& sub = *entry.sub;
-  if (!sub.is_evolving()) {
-    matcher_add_static(entry);
-    return;
-  }
-  ensure_timer(host);
-  const auto static_part = sub.static_predicates();
-  auto part = storage_.make_part(entry.sub, !static_part.empty());
-  if (part.has_static_part) matcher_->add(sub.id(), static_part);
-  storage_.add(std::move(part), entry.dest);
-}
-
-void HybridEngine::do_remove(const Installed& entry, EngineHost& /*host*/) {
-  const auto& sub = *entry.sub;
-  if (!sub.is_evolving()) {
-    matcher_remove_static(sub.id());
-    return;
-  }
-  if (!sub.is_fully_evolving()) matcher_->remove(sub.id());
-  storage_.remove(sub.id(), entry.dest);
-}
-
-void HybridEngine::ensure_timer(EngineHost& host) {
+void HybridEngine::on_install(Part& /*part*/, const Installed& /*entry*/, EngineHost& host) {
   timer_host_ = &host;
   if (timer_running_) return;
   timer_running_ = true;
@@ -51,31 +26,28 @@ void HybridEngine::on_tick(EngineHost& host) {
   const double window_s = tick_period().count_seconds();
   const double refreshes_per_window =
       window_s / std::max(1e-9, config_.default_mei.count_seconds());
-  for (auto& [dest, group] : storage_.groups()) {
-    for (auto& part : group.parts) {
-      if (part.extra.mode == Mode::kVersioned) refresh(part, host);
-      const auto probes = part.extra.probes_this_window;
-      part.extra.probes_this_window = 0;
-      const Mode wanted = static_cast<double>(probes) > refreshes_per_window
-                              ? Mode::kVersioned
-                              : Mode::kLazy;
-      if (wanted == part.extra.mode) continue;
-      part.extra.mode = wanted;
-      if (wanted == Mode::kVersioned) {
-        refresh(part, host);  // enter versioned mode with a fresh version
-      } else {
-        part.extra.version_expires = SimTime::zero();  // lazy mode re-evaluates
-      }
+  for_each_part([&](NodeId /*dest*/, Part& part) {
+    if (part.extra.mode == Mode::kVersioned) refresh(part, host);
+    const auto probes = part.extra.probes_this_window;
+    part.extra.probes_this_window = 0;
+    const Mode wanted =
+        static_cast<double>(probes) > refreshes_per_window ? Mode::kVersioned : Mode::kLazy;
+    if (wanted == part.extra.mode) return;
+    part.extra.mode = wanted;
+    if (wanted == Mode::kVersioned) {
+      refresh(part, host);  // enter versioned mode with a fresh version
+    } else {
+      part.extra.version_expires = SimTime::zero();  // lazy mode re-evaluates
     }
-  }
-  if (storage_.size() == 0) {
+  });
+  if (storage_size() == 0) {
     timer_running_ = false;  // go quiescent until the next evolving add
     return;
   }
   host.schedule(tick_period(), [this]() { on_tick(*timer_host_); });
 }
 
-void HybridEngine::refresh(Storage::Part& part, EngineHost& host) {
+void HybridEngine::refresh(Part& part, EngineHost& host) {
   const ScopedTimer timer(costs_.maintenance);
   scope_.rebind(&host.variables(), host.now());
   scope_.set_epoch(part.sub->epoch());
@@ -83,67 +55,30 @@ void HybridEngine::refresh(Storage::Part& part, EngineHost& host) {
   ++costs_.evolutions;
 }
 
-void HybridEngine::do_match(const Publication& pub, const VariableSnapshot* snapshot,
-                            EngineHost& host, std::vector<NodeId>& destinations) {
-  m1_.clear();
-  {
-    const ScopedTimer timer(costs_.match);
-    matcher_->match(pub, m1_);
+inline bool HybridEngine::probe(Part& part, const Publication& pub,
+                                const ProbeContext& ctx, ShardScratch& sc) {
+  auto& state = part.extra;
+  ++state.probes_this_window;
+  if (ctx.snapshot != nullptr) {
+    // Snapshot mode: evaluate at the entry instant, bypassing versions.
+    ++sc.lazy_evaluations;
+    sc.scope.set_epoch(part.sub->epoch());
+    materialize_bounds(part.preds, sc.scope, sc.stack, sc.snapshot_bounds);
+    return cached_bounds_match(part.preds, sc.snapshot_bounds, pub);
   }
-  storage_.begin_match();
-  for (const auto id : m1_) {
-    if (storage_.note_m1(id)) continue;  // static half of a split subscription
-    const Installed* entry = installed_entry(id);
-    if (entry == nullptr) continue;
-    destinations.push_back(entry->dest);
-    storage_.mark_done(entry->dest);
+  if (!state.bounds.empty() &&
+      (state.mode == Mode::kVersioned || ctx.now < state.version_expires)) {
+    ++sc.cache_hits;
+    return cached_bounds_match(part.preds, state.bounds, pub);
   }
-
-  const ScopedTimer timer(costs_.lazy_eval);
-  const SimTime now = host.now();
-  EvalScope& scope = publication_scope(pub, snapshot, host.variables(), now);
-  for (auto& [dest, group] : storage_.groups()) {
-    if (storage_.done(group)) continue;
-    for (auto& part : group.parts) {
-      if (part.has_static_part && !storage_.m1_hit(part)) continue;
-      ++part.extra.probes_this_window;
-
-      bool matched = false;
-      if (snapshot != nullptr) {
-        // Snapshot mode: evaluate at the entry instant, bypassing versions.
-        ++costs_.lazy_evaluations;
-        scope.set_epoch(part.sub->epoch());
-        materialize_bounds(part.preds, scope, eval_stack_, snapshot_bounds_);
-        matched = cached_bounds_match(part.preds, snapshot_bounds_, pub);
-      } else if (part.extra.mode == Mode::kVersioned && !part.extra.bounds.empty()) {
-        ++costs_.cache_hits;
-        matched = cached_bounds_match(part.preds, part.extra.bounds, pub);
-      } else if (now < part.extra.version_expires && !part.extra.bounds.empty()) {
-        ++costs_.cache_hits;
-        matched = cached_bounds_match(part.preds, part.extra.bounds, pub);
-      } else {
-        ++costs_.cache_misses;
-        ++costs_.lazy_evaluations;
-        scope.set_epoch(part.sub->epoch());
-        materialize_bounds(part.preds, scope, eval_stack_, part.extra.bounds);
-        part.extra.version_expires = now + effective_tt(*part.sub);
-        matched = cached_bounds_match(part.preds, part.extra.bounds, pub);
-      }
-      if (matched) {
-        destinations.push_back(dest);
-        break;
-      }
-    }
-  }
+  ++sc.cache_misses;
+  ++sc.lazy_evaluations;
+  sc.scope.set_epoch(part.sub->epoch());
+  materialize_bounds(part.preds, sc.scope, sc.stack, state.bounds);
+  state.version_expires = ctx.now + effective_tt(*part.sub);
+  return cached_bounds_match(part.preds, state.bounds, pub);
 }
 
-void HybridEngine::export_audit_state(audit::EngineState& out) const {
-  BrokerEngine::export_audit_state(out);
-  for (const auto& [dest, group] : storage_.groups()) {
-    for (const Storage::Part& part : group.parts) {
-      out.lazy_entries.push_back(audit::LazyEntry{part.id, dest});
-    }
-  }
-}
+template class LazyEngine<HybridEngine, HybridPartState>;
 
 }  // namespace evps

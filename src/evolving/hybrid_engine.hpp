@@ -16,6 +16,12 @@
 // the engine-local store rather than the shared matcher (avoiding VES's
 // population-bound maintenance); lazy parts behave exactly like CLEES.
 //
+// The store is the LazyEngine skeleton's (lazy_engine.hpp), so the hybrid is
+// sharded like LEES and CLEES. At K=1 its probe order is the sequential one;
+// at K>1 the per-shard early exit can probe parts K=1 would skip, so probe
+// counts — and with them the lazy/versioned classification — may differ,
+// while every version stays within TT (lazy) or MEI (versioned).
+//
 // Cost accounting: version refreshes -> maintenance + evolutions; lazy
 // materialisations -> lazy_eval + cache_misses; version/cache probe tests ->
 // cache_hits.
@@ -25,53 +31,52 @@
 // allocation-free in steady state.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "evolving/engine.hpp"
-#include "evolving/lazy_storage.hpp"
+#include "evolving/lazy_engine.hpp"
 
 namespace evps {
 
-class HybridEngine final : public BrokerEngine {
- public:
-  explicit HybridEngine(const EngineConfig& config) : BrokerEngine(config) {}
+/// A hybrid part's mode, materialised version and probe count.
+struct HybridPartState {
+  enum class Mode { kLazy, kVersioned };
+  Mode mode = Mode::kLazy;
+  std::vector<CachedBound> bounds;  // materialised version (both modes)
+  SimTime version_expires = SimTime::zero();  // lazy mode only
+  std::uint64_t probes_this_window = 0;
+};
 
-  [[nodiscard]] std::size_t storage_size() const noexcept { return storage_.size(); }
+class HybridEngine final : public LazyEngine<HybridEngine, HybridPartState> {
+ public:
+  explicit HybridEngine(const EngineConfig& config) : LazyEngine(config) {}
+
   /// Number of evolving parts currently in versioned (VES-like) mode.
   [[nodiscard]] std::size_t versioned_count() const noexcept;
   [[nodiscard]] std::size_t lazy_count() const noexcept {
-    return storage_.size() - versioned_count();
+    return storage_size() - versioned_count();
   }
 
-  void export_audit_state(audit::EngineState& out) const override;
-
- protected:
-  void do_add(const Installed& entry, EngineHost& host) override;
-  void do_remove(const Installed& entry, EngineHost& host) override;
-  void do_match(const Publication& pub, const VariableSnapshot* snapshot, EngineHost& host,
-                std::vector<NodeId>& destinations) override;
-
  private:
-  enum class Mode { kLazy, kVersioned };
+  friend class LazyEngine<HybridEngine, HybridPartState>;
+  using Mode = HybridPartState::Mode;
 
-  struct AdaptiveState {
-    Mode mode = Mode::kLazy;
-    std::vector<CachedBound> bounds;  // materialised version (both modes)
-    SimTime version_expires = SimTime::zero();  // lazy mode only
-    std::uint64_t probes_this_window = 0;
-  };
-  using Storage = LazyStorage<AdaptiveState>;
+  /// Starts the re-classification tick with the first evolving install.
+  void on_install(Part& part, const Installed& entry, EngineHost& host);
+  /// Count the probe, then match the version, a fresh lazy one, or (under a
+  /// snapshot) an uncached evaluation at the entry instant.
+  inline bool probe(Part& part, const Publication& pub, const ProbeContext& ctx,
+                    ShardScratch& sc);
 
-  void ensure_timer(EngineHost& host);
   void on_tick(EngineHost& host);
-  void refresh(Storage::Part& part, EngineHost& host);
+  void refresh(Part& part, EngineHost& host);
 
   [[nodiscard]] Duration tick_period() const noexcept { return config_.default_mei; }
 
-  Storage storage_;
-  std::vector<CachedBound> snapshot_bounds_;  // see CleesEngine
   bool timer_running_ = false;
   EngineHost* timer_host_ = nullptr;
 };
+
+extern template class LazyEngine<HybridEngine, HybridPartState>;
 
 }  // namespace evps

@@ -1,53 +1,26 @@
 // Lazy Evaluation Evolving Subscriptions (LEES) — Sections IV-B and V-B.
 //
-// A subscription is split in two parts sharing its id: the non-evolving
-// predicates go into the standard matcher (producing match set M1), while
-// the evolving predicates enter the Lazy Evolution Matching Engine (LEME),
-// which is evaluated on demand for every incoming publication (producing
-// M2). A publication is forwarded towards subscriptions in M1 ∩ M2;
-// single-part subscriptions (only static or only evolving predicates) are
-// flagged and decided by their one engine alone.
-//
-// The LEME groups evolving parts by *destination* (next hop): once any
-// subscription of a destination is known to match, evaluation for that
-// destination stops, because the publication must be forwarded there
-// regardless of further matches — the early-exit behaviour behind
-// Figure 10(b).
+// The Lazy Evolution Matching Engine (LEME) evaluates every probed evolving
+// part exactly, at publication time: the LazyEngine skeleton's probe rule
+// with no cache at all (lazy_engine.hpp has the split, the per-destination
+// early exit and the sharding).
 //
 // Evolving predicates are compiled at install time (attribute ids + flat
 // expression programs), so the per-publication loop touches no strings and
 // allocates nothing (see lazy_storage.hpp for the scratch discipline).
-//
-// Sharding (DESIGN.md §11): the LEME is partitioned like the matcher — one
-// LazyStorage per matcher shard, parts routed by the same id hash — and the
-// lazy phase fans out one worker per shard. Each worker owns its shard's
-// storage (generation stamps included) plus a private scope/stack/result
-// scratch, so workers share nothing mutable. Purely-static settlement
-// (mark_done) is broadcast to every shard before the fan-out, which keeps
-// the done-destination skip exact for any K; the within-destination early
-// exit is per (shard, destination) — for K=1 that is exactly the paper's
-// behaviour, for K>1 it evaluates at most K-1 extra parts per destination
-// (pure evaluations: delivery is unchanged, only the lazy_evaluations
-// counter can differ between K values).
+// Since LEES evaluation is a pure function of the publication, K>1 changes
+// only the lazy_evaluations counter, never a delivery.
 #pragma once
 
-#include <vector>
-
-#include "evolving/engine.hpp"
-#include "evolving/lazy_storage.hpp"
+#include "evolving/lazy_engine.hpp"
 
 namespace evps {
 
-class LeesEngine final : public BrokerEngine {
- public:
-  explicit LeesEngine(const EngineConfig& config);
+struct LeesPartState {};
 
-  /// Number of subscriptions with at least one evolving predicate.
-  [[nodiscard]] std::size_t leme_size() const noexcept {
-    std::size_t total = 0;
-    for (const auto& leme : leme_) total += leme.size();
-    return total;
-  }
+class LeesEngine final : public LazyEngine<LeesEngine, LeesPartState> {
+ public:
+  explicit LeesEngine(const EngineConfig& config) : LazyEngine(config) {}
 
   [[nodiscard]] std::size_t deduped_installs() const noexcept override {
     return BrokerEngine::deduped_installs() + lazy_dedup_.suppressed();
@@ -58,46 +31,14 @@ class LeesEngine final : public BrokerEngine {
  protected:
   void do_add(const Installed& entry, EngineHost& host) override;
   void do_remove(const Installed& entry, EngineHost& host) override;
-  void do_match(const Publication& pub, const VariableSnapshot* snapshot, EngineHost& host,
-                std::vector<NodeId>& destinations) override;
-  void do_match_batch(std::span<const Publication* const> pubs, const VariableSnapshot* snapshot,
-                      EngineHost& host, std::vector<std::vector<NodeId>>& destinations) override;
 
  private:
-  struct NoExtra {};
-  using Leme = LazyStorage<NoExtra>;
+  friend class LazyEngine<LeesEngine, LeesPartState>;
 
-  /// Per-shard-worker scratch; cacheline-aligned so parallel workers do not
-  /// false-share counters.
-  struct alignas(64) ShardScratch {
-    EvalScope scope;
-    std::vector<double> stack;
-    std::vector<NodeId> dests;
-    std::uint64_t lazy_evaluations = 0;
-  };
+  /// True iff all compiled evolving predicates are satisfied by `pub` now.
+  inline bool probe(const Part& part, const Publication& pub, const ProbeContext& ctx,
+                    ShardScratch& sc) const;
 
-  [[nodiscard]] Leme& leme_for(SubscriptionId id) noexcept {
-    return leme_[sharded_->shard_of(id)];
-  }
-
-  /// True iff all compiled evolving predicates are satisfied by `pub` under
-  /// `scope`.
-  static bool evolving_part_matches(const Leme::Part& part, const Publication& pub,
-                                    const EvalScope& scope, std::vector<double>& stack);
-
-  /// Route the matcher hits: mark static halves in their shard's LEME,
-  /// collect purely-static destinations and broadcast their settlement.
-  /// Every shard's begin_match must have been called for this publication.
-  void process_m1(const std::vector<SubscriptionId>& m1, std::vector<NodeId>& destinations);
-
-  /// The parallel M2 phase: one worker per shard, results merged into
-  /// `destinations` and costs_ afterwards. Caller times it.
-  void lazy_eval_phase(const Publication& pub, const VariableSnapshot* snapshot,
-                       const VariableRegistry& registry, SimTime now,
-                       std::vector<NodeId>& destinations);
-
-  std::vector<Leme> leme_;  // one per matcher shard (same id partition)
-  std::vector<ShardScratch> shard_scratch_;
   /// Install-sharing over FULLY-evolving subscriptions: identical compiled
   /// predicates towards the same destination with the same epoch evaluate
   /// identically on every publication, so one LEME part stands in for the
@@ -105,5 +46,7 @@ class LeesEngine final : public BrokerEngine {
   /// LEES-only: the CLEES/hybrid stores carry per-part cache state.
   DedupTable lazy_dedup_;
 };
+
+extern template class LazyEngine<LeesEngine, LeesPartState>;
 
 }  // namespace evps

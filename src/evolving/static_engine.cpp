@@ -14,23 +14,4 @@ void StaticEngine::do_remove(const Installed& entry, EngineHost& /*host*/) {
   matcher_remove_static(entry.sub->id());
 }
 
-void StaticEngine::do_match(const Publication& pub, const VariableSnapshot* /*snapshot*/,
-                            EngineHost& /*host*/, std::vector<NodeId>& destinations) {
-  m1_.clear();
-  {
-    const ScopedTimer timer(costs_.match);
-    matcher_->match(pub, m1_);
-  }
-  for (const auto id : m1_) {
-    const Installed* entry = installed_entry(id);
-    if (entry != nullptr) destinations.push_back(entry->dest);
-  }
-}
-
-void StaticEngine::do_match_batch(std::span<const Publication* const> pubs,
-                                  const VariableSnapshot* /*snapshot*/, EngineHost& /*host*/,
-                                  std::vector<std::vector<NodeId>>& destinations) {
-  matcher_only_match_batch(pubs, destinations);
-}
-
 }  // namespace evps

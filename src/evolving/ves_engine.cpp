@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "analysis/interval.hpp"
 #include "analysis/verifier.hpp"
 
 namespace evps {
@@ -65,29 +66,6 @@ void VesEngine::do_remove(const Installed& entry, EngineHost& /*host*/) {
   esq_.remove(id);
   ready_.erase(id);
   evolving_.erase(id);
-}
-
-void VesEngine::do_match(const Publication& pub, const VariableSnapshot* /*snapshot*/,
-                         EngineHost& /*host*/, std::vector<NodeId>& destinations) {
-  // VES matches against the currently stored versions only; piggybacked
-  // snapshots cannot retroactively change the versions (Section V-D notes
-  // snapshots "render VES ineffective"), so they are ignored here.
-  m1_.clear();
-  {
-    const ScopedTimer timer(costs_.match);
-    matcher_->match(pub, m1_);
-  }
-  for (const auto id : m1_) {
-    const Installed* entry = installed_entry(id);
-    if (entry != nullptr) destinations.push_back(entry->dest);
-  }
-}
-
-void VesEngine::do_match_batch(std::span<const Publication* const> pubs,
-                               const VariableSnapshot* /*snapshot*/, EngineHost& /*host*/,
-                               std::vector<std::vector<NodeId>>& destinations) {
-  // Snapshots are ignored exactly like do_match (Section V-D).
-  matcher_only_match_batch(pubs, destinations);
 }
 
 void VesEngine::ensure_listener(EngineHost& host) {
@@ -159,6 +137,34 @@ bool VesEngine::needs_evolution(const EvolvingState& state,
   return false;
 }
 
+namespace {
+
+/// Variable bounds over a broker-hop version's MEI window: `t` spans the
+/// window, every other variable keeps its current value (discrete variables
+/// are piecewise-constant until the next evolution) or, while unset, its
+/// declared range; anything else is unknown.
+class WindowBounds final : public VarBounds {
+ public:
+  WindowBounds(const VariableRegistry& registry, SimTime now, Interval t) noexcept
+      : registry_(registry), now_(now), t_(t) {}
+
+  [[nodiscard]] Interval bounds(VarId var) const override {
+    if (var == elapsed_time_var_id()) return t_;
+    if (const auto value = registry_.get_at(var, now_)) return Interval::point(*value);
+    if (const auto range = registry_.declared_range(var)) {
+      return Interval::range(range->first, range->second);
+    }
+    return Interval::unknown();
+  }
+
+ private:
+  const VariableRegistry& registry_;
+  SimTime now_;
+  Interval t_;
+};
+
+}  // namespace
+
 std::vector<Predicate> VesEngine::materialize_version(const EvolvingState& state,
                                                       const VariableRegistry& registry,
                                                       SimTime now) {
@@ -166,65 +172,43 @@ std::vector<Predicate> VesEngine::materialize_version(const EvolvingState& state
   const auto& preds = sub.predicates();
   std::vector<Predicate> out;
   out.reserve(preds.size());
-
-  if (!state.overestimate) {
-    scope_.rebind(&registry, now);
-    scope_.set_epoch(sub.epoch());
-    for (std::size_t i = 0; i < preds.size(); ++i) {
-      const auto& p = preds[i];
-      if (!p.is_evolving()) {
-        out.push_back(p);
-        continue;
-      }
-      bool unbound = false;
-      double value = 0.0;
-      try {
-        value = state.progs[i].eval(scope_, eval_stack_);
-      } catch (const UnboundVariableError&) {
-        unbound = true;
-      }
-      // Fail closed: an unbound variable yields a version that can never be
-      // satisfied (NaN is incomparable and kLt never matches it).
-      out.push_back(unbound ? Predicate{p.attribute(), RelOp::kLt, Value{std::nan("")}}
-                            : Predicate{p.attribute(), p.op(), Value{value}});
-    }
-    return out;
-  }
-
-  // Sample each predicate function across the upcoming MEI window and take
-  // the loosest bound. Three samples cover linear and mildly curved
-  // functions; discrete variables are piecewise-constant so their current
-  // value holds across the window. Unlike the exact path, unbound variables
-  // propagate (matching the seed's behaviour, which aborts the install).
-  const Duration mei = effective_mei(sub);
-  const SimTime times[3] = {now, now + mei / 2, now + mei};
+  scope_.rebind(&registry, now);
+  scope_.set_epoch(sub.epoch());
+  // Overestimation widens range predicates to the function's interval
+  // envelope over the upcoming MEI window (eval_interval, DESIGN.md §9.2),
+  // which by the domain's contract contains every bound the exact path could
+  // materialise before the next evolution: install `hi` for upper bounds and
+  // `lo` for lower bounds. Equality cannot be widened and stays exact.
+  const WindowBounds window{
+      registry, now,
+      Interval::range((now - sub.epoch()).count_seconds(),
+                      (now + effective_mei(sub) - sub.epoch()).count_seconds())};
   for (std::size_t i = 0; i < preds.size(); ++i) {
     const auto& p = preds[i];
     if (!p.is_evolving()) {
       out.push_back(p);
       continue;
     }
-    double samples[3];
-    for (int s = 0; s < 3; ++s) {
-      scope_.rebind(&registry, times[s]);
-      scope_.set_epoch(sub.epoch());
-      samples[s] = state.progs[i].eval(scope_, eval_stack_);
+    const bool upper = p.op() == RelOp::kLt || p.op() == RelOp::kLe;
+    const bool lower = p.op() == RelOp::kGt || p.op() == RelOp::kGe;
+    bool never = false;
+    double bound = 0.0;
+    if (state.overestimate && (upper || lower)) {
+      const Interval envelope = eval_interval(state.progs[i], window);
+      never = envelope.numeric_empty();  // always NaN: never satisfiable
+      bound = upper ? envelope.hi : envelope.lo;
+    } else {
+      try {
+        bound = state.progs[i].eval(scope_, eval_stack_);
+      } catch (const UnboundVariableError&) {
+        never = true;
+      }
     }
-    double bound = samples[0];
-    switch (p.op()) {
-      case RelOp::kLe:
-      case RelOp::kLt:
-        bound = std::max({samples[0], samples[1], samples[2]});
-        break;
-      case RelOp::kGe:
-      case RelOp::kGt:
-        bound = std::min({samples[0], samples[1], samples[2]});
-        break;
-      case RelOp::kEq:
-      case RelOp::kNe:
-        break;  // equality cannot be widened conservatively; keep exact
-    }
-    out.push_back(Predicate{p.attribute(), p.op(), Value{bound}});
+    // Fail closed: an unbound variable (or an always-NaN envelope) yields a
+    // version that can never be satisfied (NaN is incomparable and kLt never
+    // matches it).
+    out.push_back(never ? Predicate{p.attribute(), RelOp::kLt, Value{std::nan("")}}
+                        : Predicate{p.attribute(), p.op(), Value{bound}});
   }
   return out;
 }

@@ -14,8 +14,9 @@
 //     evaluated one, reschedule at now + MEI. The cost of these matcher
 //     operations is the VES maintenance overhead measured in Figures 8/9.
 //
-// Matching publications uses only the standard matcher (fast), which is why
-// VES "has the advantage of not being affected by publications".
+// Matching publications uses only the standard matcher (fast — the base
+// class's matcher-only path), which is why VES "has the advantage of not
+// being affected by publications".
 //
 // Dependency tracking is keyed by interned VarId: each evolving state keeps
 // a sorted id vector with the registry versions observed at the last
@@ -47,10 +48,6 @@ class VesEngine final : public BrokerEngine {
  protected:
   void do_add(const Installed& entry, EngineHost& host) override;
   void do_remove(const Installed& entry, EngineHost& host) override;
-  void do_match(const Publication& pub, const VariableSnapshot* snapshot, EngineHost& host,
-                std::vector<NodeId>& destinations) override;
-  void do_match_batch(std::span<const Publication* const> pubs, const VariableSnapshot* snapshot,
-                      EngineHost& host, std::vector<std::vector<NodeId>>& destinations) override;
 
  private:
   struct EvolvingState {
@@ -90,9 +87,10 @@ class VesEngine final : public BrokerEngine {
   void evolve_batch(const std::vector<SubscriptionId>& due, EngineHost& host);
 
   /// Non-evolving version of the subscription at `now`; if the state asks
-  /// for overestimation, range predicates are widened to the extreme the
-  /// function reaches anywhere in [now, now + MEI]. Uses the engine's
-  /// shared scope and eval stack (maintenance path, not reentrant).
+  /// for overestimation, range predicates are widened to the function's
+  /// interval envelope over [now, now + MEI], a sound superset of every value
+  /// it takes there. Uses the engine's shared scope and eval stack
+  /// (maintenance path, not reentrant).
   [[nodiscard]] std::vector<Predicate> materialize_version(const EvolvingState& state,
                                                            const VariableRegistry& registry,
                                                            SimTime now);

@@ -9,7 +9,9 @@
 //     sampled publication (>= 10k probes accumulate across seeds, the
 //     uncovered ones probed with publications the advertisement covers);
 //   * kConstant — the folded static subscription is bit-identical to lazy
-//     evaluation and agrees with the original on every probe.
+//     evaluation and agrees with the original on every probe;
+//   * VES overestimation — a broker-hop version widened over its MEI window
+//     admits a publication at the exact bound of every instant in the window.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +22,7 @@
 #include "analysis/analyzer.hpp"
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
+#include "evolving/ves_engine.hpp"
 #include "expr/ast.hpp"
 #include "expr_oracle.hpp"
 #include "message/advertisement.hpp"
@@ -27,6 +30,7 @@
 #include "message/predicate.hpp"
 #include "message/publication.hpp"
 #include "message/subscription.hpp"
+#include "test_util.hpp"
 
 namespace evps {
 namespace {
@@ -43,34 +47,35 @@ struct VarDecl {
   bool bound = false;  // has a value in the registry
 };
 
-ExprPtr random_expr(Rng& rng, int depth) {
+/// Random expression over `t` and the first `vars` of kVarNames.
+ExprPtr random_expr(Rng& rng, int depth, int vars = kVarCount) {
   if (depth <= 0 || rng.bernoulli(0.3)) {
     const int pick = static_cast<int>(rng.uniform_int(0, 3));
     if (pick == 0) return Expr::constant(rng.uniform(-8.0, 8.0));
     if (pick == 1) return Expr::variable("t");
-    return Expr::variable(kVarNames[rng.uniform_int(0, kVarCount - 1)]);
+    return Expr::variable(kVarNames[rng.uniform_int(0, vars - 1)]);
   }
   switch (rng.uniform_int(0, 5)) {
     case 0:
     case 1:
       return Expr::binary(static_cast<BinaryOp>(rng.uniform_int(0, 5)),
-                          random_expr(rng, depth - 1), random_expr(rng, depth - 1));
+                          random_expr(rng, depth - 1, vars), random_expr(rng, depth - 1, vars));
     case 2:
       return Expr::unary(static_cast<UnaryOp>(rng.uniform_int(0, 7)),
-                         random_expr(rng, depth - 1));
+                         random_expr(rng, depth - 1, vars));
     case 3: {
       std::vector<ExprPtr> args;
       const int n = static_cast<int>(rng.uniform_int(1, 3));
-      for (int i = 0; i < n; ++i) args.push_back(random_expr(rng, depth - 1));
+      for (int i = 0; i < n; ++i) args.push_back(random_expr(rng, depth - 1, vars));
       return Expr::call(rng.bernoulli(0.5) ? CallFn::kMin : CallFn::kMax, std::move(args));
     }
     case 4: {
       std::vector<ExprPtr> args;
-      for (int i = 0; i < 3; ++i) args.push_back(random_expr(rng, depth - 1));
+      for (int i = 0; i < 3; ++i) args.push_back(random_expr(rng, depth - 1, vars));
       return Expr::call(CallFn::kClamp, std::move(args));
     }
     default:
-      return Expr::call(CallFn::kStep, {random_expr(rng, depth - 1)});
+      return Expr::call(CallFn::kStep, {random_expr(rng, depth - 1, vars)});
   }
 }
 
@@ -240,6 +245,57 @@ TEST(AnalysisSoundness, VerdictsHoldOverSampledAssignments) {
   EXPECT_GE(uncovered_seeds, 20u);
   EXPECT_GE(constant_seeds, 20u);
   EXPECT_GE(ok_seeds, 100u);
+}
+
+TEST(AnalysisSoundness, WidenedVesVersionAdmitsEveryInWindowBound) {
+  // The overestimated broker-hop version installed at `now` must contain
+  // f(tau) for every tau in [now, now + MEI]: probe it densely with a
+  // publication at each exact bound.
+  constexpr int kInstants = 65;
+  std::uint64_t probes = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    Rng rng{seed};
+    Simulator sim;
+    testutil::SimHost host{sim};
+    for (int i = 0; i < 2; ++i) host.set_variable(kVarNames[i], rng.uniform(-10.0, 10.0));
+    const RelOp op = rng.bernoulli(0.5) ? RelOp::kLe : RelOp::kGe;
+    const Duration mei = Duration::seconds(rng.uniform(0.1, 3.0));
+    Subscription sub;
+    sub.set_id(SubscriptionId{seed});
+    sub.set_mei(mei);
+    sub.add(Predicate{kAttrs[0], op,
+                      random_expr(rng, static_cast<int>(rng.uniform_int(1, 4)), 2)});
+    if (!sub.predicates()[0].is_evolving()) continue;  // folded to a constant
+    const auto shared = std::make_shared<const Subscription>(sub);
+
+    sim.run_until(sec(rng.uniform(0.0, 10.0)));
+    const SimTime now = sim.now();
+    EngineConfig cfg{.kind = EngineKind::kVes, .overestimate_forwarding = true,
+                     .matcher_threads = 1};
+    VesEngine engine{cfg};
+    engine.add(shared, NodeId{1}, host, /*dest_is_broker=*/true);
+
+    const ExprProgram prog = ExprProgram::compile(*sub.predicates()[0].fun());
+    std::vector<double> stack;
+    EvalScope scope;
+    for (int k = 0; k < kInstants; ++k) {
+      const SimTime tau = now + Duration::seconds(mei.count_seconds() * k / (kInstants - 1));
+      scope.rebind(&host.variables(), tau);
+      scope.set_epoch(sub.epoch());
+      const double bound = prog.eval(scope, stack);
+      if (std::isnan(bound)) continue;  // the exact version matches nothing
+      Publication pub;
+      pub.set(kAttrs[0], Value{bound});
+      ++probes;
+      // Matching a VES version does not depend on the clock: the version
+      // installed at `now` is what the broker holds all window long.
+      ASSERT_EQ(testutil::match(engine, host, pub).size(), 1u)
+          << "seed " << seed << ": " << sub.predicates()[0].to_string() << " at t="
+          << (tau - sub.epoch()).count_seconds() << " with bound " << bound
+          << " escapes the version widened at t=" << (now - sub.epoch()).count_seconds();
+    }
+  }
+  EXPECT_GE(probes, 20000u);
 }
 
 TEST(AnalysisSoundness, HandPickedVerdicts) {

@@ -18,7 +18,8 @@ struct CleesTest : ::testing::Test {
   SimHost host{sim};
   // matcher_threads pinned: the exact cache-hit/miss counts below assume the
   // K=1 probe order (sharded early exit can probe — and cache — parts the
-  // sequential order skips; delivery is unchanged, counters are not).
+  // sequential order skips, so counters differ and a later publication can
+  // meet a different, still at most TT old, version).
   EngineConfig cfg{.kind = EngineKind::kClees, .matcher_threads = 1};
   CleesEngine engine{cfg};
 };

@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "evolving/clees_engine.hpp"
+#include "evolving/hybrid_engine.hpp"
 #include "evolving/lees_engine.hpp"
 #include "evolving/ves_engine.hpp"
 #include "matching/sharded_matcher.hpp"
@@ -174,7 +175,7 @@ TEST(ConcurrencyStress, LeesPerShardLazyStorage) {
   EXPECT_EQ(mismatches, 0);
   // Both engines hold the same population even though one spreads it over
   // four storages.
-  EXPECT_EQ(sharded.leme_size(), reference.leme_size());
+  EXPECT_EQ(sharded.storage_size(), reference.storage_size());
 }
 
 TEST(ConcurrencyStress, CleesPerShardLazyStorage) {
@@ -202,6 +203,35 @@ TEST(ConcurrencyStress, CleesPerShardLazyStorage) {
     if (match(sharded, host, pub) != match(reference, host, pub)) ++mismatches;
   }
   EXPECT_EQ(mismatches, 0);
+}
+
+TEST(ConcurrencyStress, HybridPerShardLazyStorage) {
+  // The hybrid's store is sharded like CLEES's: parallel shard tasks bump
+  // disjoint probe counters and refresh disjoint lazy versions, while the
+  // re-classification tick refreshes versioned parts between matches.
+  Simulator sim;
+  SimHost host{sim};
+  EngineConfig cfg4{.kind = EngineKind::kHybrid, .matcher_threads = 4};
+  EngineConfig cfg1{.kind = EngineKind::kHybrid, .matcher_threads = 1};
+  HybridEngine sharded{cfg4};
+  HybridEngine reference{cfg1};
+
+  for (std::uint64_t id = 1; id <= 32; ++id) {
+    auto sub = make_sub(id, "[tt=0.2] x <= " + std::to_string(id % 9) + " + t");
+    const NodeId dest{1 + id % 3};
+    sharded.add(sub, dest, host);
+    reference.add(sub, dest, host);
+  }
+
+  int mismatches = 0;
+  for (int step = 0; step < 200; ++step) {
+    sim.run_until(SimTime::from_seconds(0.07 * step));
+    Publication pub;
+    pub.set("x", Value{step % 13 - 4});
+    if (match(sharded, host, pub) != match(reference, host, pub)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(sharded.storage_size(), reference.storage_size());
 }
 
 // Engine evolution interleaved with batched matching, several engines in

@@ -2,7 +2,6 @@
 // destination bookkeeping, cost accounting plumbing.
 #include <gtest/gtest.h>
 
-#include "evolving/parametric_engine.hpp"
 #include "evolving/ves_engine.hpp"
 #include "evolving/static_engine.hpp"
 #include "test_util.hpp"
@@ -73,11 +72,13 @@ TEST_F(StaticEngineTest, MatchCostRecorded) {
   EXPECT_EQ(engine.costs().match.count(), 0u);
 }
 
+// The parametric baseline is the static engine built with kParametric: its
+// in-place updates are the base class's BrokerEngine::update.
 struct ParametricEngineTest : ::testing::Test {
   Simulator sim;
   SimHost host{sim};
   EngineConfig cfg{.kind = EngineKind::kParametric};
-  ParametricEngine engine{cfg};
+  StaticEngine engine{cfg};
 };
 
 TEST_F(ParametricEngineTest, UpdateReplacesOperandsPositionally) {

@@ -17,7 +17,11 @@ SimTime sec(double s) { return SimTime::from_seconds(s); }
 struct HybridTest : ::testing::Test {
   Simulator sim;
   SimHost host{sim};
-  EngineConfig cfg{.kind = EngineKind::kHybrid};
+  // matcher_threads pinned: the exact probe, cache and mode counts below
+  // assume the K=1 probe order (sharded early exit can probe parts the
+  // sequential order skips, which changes counters and, through them, the
+  // lazy/versioned classification).
+  EngineConfig cfg{.kind = EngineKind::kHybrid, .matcher_threads = 1};
   HybridEngine engine{cfg};
 };
 

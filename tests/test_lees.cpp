@@ -41,7 +41,7 @@ TEST_F(LeesTest, NoEvolutionTimersNeeded) {
 
 TEST_F(LeesTest, SplitSubscriptionRequiresBothParts) {
   engine.add(make_sub(1, "symbol = 'IBM'; price <= 10 + t"), NodeId{1}, host);
-  EXPECT_EQ(engine.leme_size(), 1u);
+  EXPECT_EQ(engine.storage_size(), 1u);
   // Static part fails -> no match even though the evolving part matches.
   EXPECT_TRUE(match(engine, host, parse_publication("symbol = 'MSFT'; price = 5")).empty());
   // Evolving part fails -> no match.
@@ -51,7 +51,7 @@ TEST_F(LeesTest, SplitSubscriptionRequiresBothParts) {
 
 TEST_F(LeesTest, StaticOnlySubscriptionDecidedByMatcher) {
   engine.add(make_sub(1, "x > 0"), NodeId{1}, host);
-  EXPECT_EQ(engine.leme_size(), 0u);
+  EXPECT_EQ(engine.storage_size(), 0u);
   EXPECT_EQ(match(engine, host, parse_publication("x = 1")).size(), 1u);
 }
 
@@ -105,10 +105,10 @@ TEST_F(LeesTest, DestinationSettledByStaticSubSkipsLazyWork) {
 TEST_F(LeesTest, RemoveEvolvingSubscription) {
   engine.add(make_sub(1, "x >= t"), NodeId{1}, host);
   engine.add(make_sub(2, "symbol = 'A'; x >= t"), NodeId{2}, host);
-  EXPECT_EQ(engine.leme_size(), 2u);
+  EXPECT_EQ(engine.storage_size(), 2u);
   EXPECT_TRUE(engine.remove(SubscriptionId{1}, host));
   EXPECT_TRUE(engine.remove(SubscriptionId{2}, host));
-  EXPECT_EQ(engine.leme_size(), 0u);
+  EXPECT_EQ(engine.storage_size(), 0u);
   EXPECT_TRUE(match(engine, host, parse_publication("symbol = 'A'; x = 100")).empty());
 }
 

@@ -237,6 +237,12 @@ TEST_F(MatchAllocation, CleesShardedBatchSteadyStateIsAllocFree) {
   expect_alloc_free_batching(engine, host, make_pubs());
 }
 
+TEST_F(MatchAllocation, HybridShardedBatchSteadyStateIsAllocFree) {
+  HybridEngine engine{EngineConfig{.kind = EngineKind::kHybrid, .matcher_threads = 2}};
+  populate(engine, host, 120, true);
+  expect_alloc_free_batching(engine, host, make_pubs());
+}
+
 TEST_F(MatchAllocation, VesShardedBatchSteadyStateIsAllocFree) {
   VesEngine engine{EngineConfig{.kind = EngineKind::kVes, .matcher_threads = 2}};
   populate(engine, host, 120, true);

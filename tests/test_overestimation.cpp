@@ -53,12 +53,36 @@ TEST_F(OverestimationTest, DisabledConfigKeepsExactVersions) {
 }
 
 TEST_F(OverestimationTest, NonMonotoneWindowCoveredBySampling) {
-  // Bound 10*sin(t) peaks inside the window [0, 2] near t = pi/2 ~ 1.57;
-  // the midpoint sample (t=1) catches most of the rise.
+  // Bound 10*sin(t) peaks inside the window [0, 2] near t = pi/2 ~ 1.57.
+  // The widened bound is the interval envelope's upper end, 10 (sin over
+  // [0, 2] reaches 1), not the largest of a few samples.
   engine.add(make_sub(1, "[mei=2] x <= 10 * sin(t)"), NodeId{1}, host,
              /*dest_is_broker=*/true);
-  // Samples at t=0,1,2: 0, 8.41, 9.09 -> widened bound 9.09.
   EXPECT_EQ(match(engine, host, parse_publication("x = 9.0")).size(), 1u);
+}
+
+TEST_F(OverestimationTest, CurvedBoundPeakInsideWindowIsForwarded) {
+  // At t ~ pi/2 the exact bound of 10*sin(t) is 10, so x = 9.5 matches the
+  // subscription there. A three-point sample of the window (t = 0, 1, 2)
+  // would widen the bound only to 9.09 and drop it at the forwarding broker.
+  engine.add(make_sub(1, "[mei=2] x <= 10 * sin(t)"), NodeId{1}, host,
+             /*dest_is_broker=*/true);
+  sim.run_until(sec(1.5708));  // still inside the first MEI window
+  EXPECT_EQ(match(engine, host, parse_publication("x = 9.5")).size(), 1u);
+  EXPECT_TRUE(match(engine, host, parse_publication("x = 10.5")).empty());
+}
+
+TEST_F(OverestimationTest, UnsetVariableWidensInsteadOfThrowing) {
+  // `load` has no value yet: its envelope is unknown, so the broker-hop
+  // version forwards everything rather than failing the install.
+  EXPECT_NO_THROW(engine.add(make_sub(1, "[mei=1] x <= 2 * load"), NodeId{1}, host,
+                             /*dest_is_broker=*/true));
+  EXPECT_EQ(match(engine, host, parse_publication("x = 1000")).size(), 1u);
+  // Once `load` is set, the next evolution pins it to its value.
+  host.set_variable("load", 1.0);
+  sim.run_until(sec(1.01));
+  EXPECT_EQ(match(engine, host, parse_publication("x = 1.5")).size(), 1u);
+  EXPECT_TRUE(match(engine, host, parse_publication("x = 2.5")).empty());
 }
 
 TEST_F(OverestimationTest, StaticAndEqualityPredicatesUntouched) {
@@ -114,6 +138,30 @@ TEST(OverestimationOverlay, EliminatesForwardingFalseNegatives) {
   };
   EXPECT_EQ(run(false), 0u);  // dropped at the stale forwarding version
   EXPECT_EQ(run(true), 1u);   // widened inner version forwards; edge delivers
+}
+
+TEST(OverestimationOverlay, UnsetVariableAtForwardingBrokerDoesNotThrow) {
+  // A widened broker-hop install that references a variable with no value
+  // yet must not throw out of the broker's message handler.
+  Simulator sim;
+  Overlay overlay{sim};
+  BrokerConfig cfg;
+  cfg.engine.kind = EngineKind::kVes;
+  cfg.engine.overestimate_forwarding = true;
+  Broker& edge = overlay.add_broker("edge", cfg);
+  Broker& inner = overlay.add_broker("inner", cfg);
+  overlay.connect(edge, inner, Duration::millis(1));
+  auto& sub = overlay.add_client("sub");
+  auto& feed = overlay.add_client("feed");
+  sub.connect(edge, Duration::zero());
+  feed.connect(inner, Duration::zero());
+
+  sub.subscribe("[mei=1] x <= 2 * load");
+  EXPECT_NO_THROW(sim.run_until(SimTime::from_seconds(0.5)));
+  // The edge broker's exact version fails closed while `load` is unset.
+  feed.publish("x = 1");
+  EXPECT_NO_THROW(sim.run_until(SimTime::from_seconds(0.9)));
+  EXPECT_TRUE(sub.deliveries().empty());
 }
 
 }  // namespace
