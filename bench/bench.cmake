@@ -20,6 +20,7 @@ endfunction()
 function(evps_gbench name)
   evps_bench(${name})
   target_link_libraries(${name} PRIVATE benchmark::benchmark)
+  target_compile_definitions(${name} PRIVATE EVPS_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
   add_test(NAME bench_smoke_${name}
     COMMAND ${name} --benchmark_min_time=0.01
       --benchmark_out=${CMAKE_BINARY_DIR}/bench/SMOKE_${name}.json

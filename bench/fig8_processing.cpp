@@ -23,7 +23,7 @@ struct Variant {
   double mei_factor = 1.0;
 };
 
-double processing_ms(SystemKind system, std::size_t characters, const Variant& variant) {
+EngineCosts run_costs(SystemKind system, std::size_t characters, const Variant& variant) {
   GameConfig cfg;
   cfg.system = system;
   cfg.seed = 7;
@@ -36,19 +36,27 @@ double processing_ms(SystemKind system, std::size_t characters, const Variant& v
   cfg.duration = SimTime::from_seconds(20.0);
   GameExperiment exp(cfg);
   exp.run();
-  const EngineCosts& costs = exp.engine_costs();
+  return exp.engine_costs();
+}
+
+double processing_ms(const EngineCosts& costs) {
   return (costs.maintenance.sum() + costs.lazy_eval.sum()) * 1000.0;
 }
 
+/// One row per population. The last two columns count LEES's exact probes
+/// and, of those, the ones its envelope filter could not select (scanned).
 void panel(const char* title, const Variant& variant,
            std::initializer_list<unsigned> sizes = {250u, 500u, 1000u, 2000u}) {
   print_banner(title);
-  Table t{{"subscriptions", "VES (ms)", "LEES (ms)", "CLEES (ms)"}};
+  Table t{{"subscriptions", "VES (ms)", "LEES (ms)", "CLEES (ms)", "LEES probes",
+           "LEES scanned"}};
   for (const std::size_t n : sizes) {
+    const EngineCosts lees = run_costs(SystemKind::kLees, n, variant);
     t.add_row({std::to_string(n),
-               Table::fmt(processing_ms(SystemKind::kVes, n, variant), 1),
-               Table::fmt(processing_ms(SystemKind::kLees, n, variant), 1),
-               Table::fmt(processing_ms(SystemKind::kClees, n, variant), 1)});
+               Table::fmt(processing_ms(run_costs(SystemKind::kVes, n, variant)), 1),
+               Table::fmt(processing_ms(lees), 1),
+               Table::fmt(processing_ms(run_costs(SystemKind::kClees, n, variant)), 1),
+               std::to_string(lees.lazy_evaluations), std::to_string(lees.scan_probes)});
   }
   t.print();
 }

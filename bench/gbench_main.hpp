@@ -4,13 +4,22 @@
 // directory (google-benchmark's JSON schema) so successive PRs can diff
 // matcher/engine throughput against the checked-in numbers. An explicit
 // --benchmark_out on the command line overrides the default dump.
+//
+// The JSON context records this project's build type and the host's CPU
+// count: google-benchmark's own `library_build_type` describes only the
+// installed benchmark library.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
+
+#ifndef EVPS_BUILD_TYPE
+#define EVPS_BUILD_TYPE "unknown"
+#endif
 
 namespace evps_bench {
 
@@ -27,6 +36,8 @@ inline int run(int argc, char** argv, const char* default_out) {
     args.push_back(fmt_flag.data());
   }
   int n = static_cast<int>(args.size());
+  benchmark::AddCustomContext("evps_build_type", EVPS_BUILD_TYPE);
+  benchmark::AddCustomContext("evps_cpus", std::to_string(std::thread::hardware_concurrency()));
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -55,6 +55,10 @@ class CleesEngine final : public LazyEngine<CleesEngine, CleesPartState> {
  public:
   explicit CleesEngine(const EngineConfig& config) : LazyEngine(config) {}
 
+  /// A probe may refresh the cached version later probes read, so every
+  /// part is scanned (no candidate filter).
+  static constexpr bool kPureProbe = false;
+
  private:
   friend class LazyEngine<CleesEngine, CleesPartState>;
 

@@ -77,6 +77,10 @@ struct EngineCosts {
   std::uint64_t lazy_evaluations = 0;  // LEES/CLEES on-demand evaluations
   std::uint64_t cache_hits = 0;        // CLEES
   std::uint64_t cache_misses = 0;      // CLEES
+  /// LEES probes its envelope filter did not select: parts no finite
+  /// envelope bound describes, and every probe in snapshot mode.
+  std::uint64_t scan_probes = 0;
+  std::uint64_t envelopes = 0;  // LEES window envelopes (re)built for the filter
 
   /// Total engine processing time in seconds (maintenance + lazy + match).
   [[nodiscard]] double total_seconds() const noexcept {

@@ -51,6 +51,10 @@ class HybridEngine final : public LazyEngine<HybridEngine, HybridPartState> {
  public:
   explicit HybridEngine(const EngineConfig& config) : LazyEngine(config) {}
 
+  /// Probes count towards re-classification and refresh lazy versions, so
+  /// every part is scanned (no candidate filter).
+  static constexpr bool kPureProbe = false;
+
   /// Number of evolving parts currently in versioned (VES-like) mode.
   [[nodiscard]] std::size_t versioned_count() const noexcept;
   [[nodiscard]] std::size_t lazy_count() const noexcept {

@@ -18,8 +18,12 @@
 // hit counters (DESIGN.md §7). Steady-state matching therefore performs no
 // heap allocation in this layer.
 //
-// `Extra` is the engine-specific per-part payload (empty for LEES, the TT
-// cache for CLEES, mode + version for the hybrid).
+// A group keeps its parts contiguous, so the scan walks memory in order.
+// The slot also locates its part (group and index), so a candidate filter
+// that names a slot reaches the part and its destination in O(1).
+//
+// `Extra` is the engine-specific per-part payload (the filter bookkeeping
+// for LEES, the TT cache for CLEES, mode + version for the hybrid).
 #pragma once
 
 #include <cstdint>
@@ -89,6 +93,7 @@ class LazyStorage {
   };
 
   struct Group {
+    NodeId dest;
     std::vector<Part> parts;
     std::uint32_t done_stamp = 0;  // dest settled iff == current generation
   };
@@ -114,6 +119,7 @@ class LazyStorage {
     } else {
       part.slot = static_cast<std::uint32_t>(m1_stamp_.size());
       m1_stamp_.push_back(0);
+      location_.emplace_back();
     }
     return part;
   }
@@ -121,9 +127,20 @@ class LazyStorage {
   void add(Part part, NodeId dest) {
     slot_of_.emplace(part.id, part.slot);
     auto [it, inserted] = groups_.try_emplace(dest);
-    if (inserted) group_of_.emplace(dest, &it->second);
-    it->second.parts.push_back(std::move(part));
+    Group& group = it->second;
+    if (inserted) {
+      group.dest = dest;
+      group_of_.emplace(dest, &group);
+    }
+    location_[part.slot] = Location{&group, static_cast<std::uint32_t>(group.parts.size())};
+    group.parts.push_back(std::move(part));
     ++count_;
+  }
+
+  /// The part stored for `id`, or null.
+  [[nodiscard]] const Part* find(SubscriptionId id) const {
+    const auto it = slot_of_.find(id);
+    return it == slot_of_.end() ? nullptr : &part(it->second);
   }
 
   /// Remove the part for `id` under `dest`; false if unknown.
@@ -135,7 +152,9 @@ class LazyStorage {
       if (it->id != id) continue;
       free_slots_.push_back(it->slot);
       slot_of_.erase(id);
-      parts.erase(it);
+      for (auto next = parts.erase(it); next != parts.end(); ++next) {
+        --location_[next->slot].index;
+      }
       --count_;
       if (parts.empty()) {
         group_of_.erase(dest);
@@ -168,14 +187,26 @@ class LazyStorage {
   /// that destination already matched).
   void mark_done(NodeId dest) {
     const auto it = group_of_.find(dest);
-    if (it != group_of_.end()) it->second->done_stamp = gen_;
+    if (it != group_of_.end()) settle(*it->second);
   }
+
+  /// Mark `group` settled for this round (one of its parts matched).
+  void settle(Group& group) noexcept { group.done_stamp = gen_; }
 
   [[nodiscard]] bool done(const Group& group) const noexcept {
     return group.done_stamp == gen_;
   }
   [[nodiscard]] bool m1_hit(const Part& part) const noexcept {
     return m1_stamp_[part.slot] == gen_;
+  }
+
+  /// The part in `slot` and its group (the slot must be in use).
+  [[nodiscard]] Group& group_of(std::uint32_t slot) noexcept { return *location_[slot].group; }
+  [[nodiscard]] Part& part(std::uint32_t slot) noexcept {
+    return location_[slot].group->parts[location_[slot].index];
+  }
+  [[nodiscard]] const Part& part(std::uint32_t slot) const noexcept {
+    return location_[slot].group->parts[location_[slot].index];
   }
 
   /// Groups in deterministic (destination) order.
@@ -189,6 +220,11 @@ class LazyStorage {
   std::map<NodeId, Group> groups_;  // node handles are stable -> Group* is too
   std::unordered_map<NodeId, Group*> group_of_;
   std::unordered_map<SubscriptionId, std::uint32_t> slot_of_;
+  struct Location {
+    Group* group = nullptr;
+    std::uint32_t index = 0;  // into group->parts
+  };
+  std::vector<Location> location_;       // slot -> where its part lives
   std::vector<std::uint32_t> m1_stamp_;  // slot -> stamp; valid iff == gen_
   std::vector<std::uint32_t> free_slots_;
   std::size_t count_ = 0;

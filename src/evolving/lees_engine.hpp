@@ -8,19 +8,27 @@
 // Evolving predicates are compiled at install time (attribute ids + flat
 // expression programs), so the per-publication loop touches no strings and
 // allocates nothing (see lazy_storage.hpp for the scratch discipline).
-// Since LEES evaluation is a pure function of the publication, K>1 changes
-// only the lazy_evaluations counter, never a delivery.
+//
+// LEES evaluation is a pure function of the publication. So LEES runs behind
+// the skeleton's candidate filter — only the parts whose window envelope
+// admits the publication, plus the few parts no envelope bounds, are probed
+// (DESIGN.md §8) — and neither the filter nor K>1 changes a delivery, only
+// the probe counters.
 #pragma once
 
 #include "evolving/lazy_engine.hpp"
 
 namespace evps {
 
-struct LeesPartState {};
+/// A LEES part carries only its candidate-filter bookkeeping.
+using LeesPartState = EnvelopeState;
 
 class LeesEngine final : public LazyEngine<LeesEngine, LeesPartState> {
  public:
   explicit LeesEngine(const EngineConfig& config) : LazyEngine(config) {}
+
+  /// The probe reads no cache: filtering cannot change a verdict.
+  static constexpr bool kPureProbe = true;
 
   [[nodiscard]] std::size_t deduped_installs() const noexcept override {
     return BrokerEngine::deduped_installs() + lazy_dedup_.suppressed();

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/interval.hpp"
 #include "analysis/verifier.hpp"
+#include "evolving/window_envelope.hpp"
 
 namespace evps {
 
@@ -137,34 +137,6 @@ bool VesEngine::needs_evolution(const EvolvingState& state,
   return false;
 }
 
-namespace {
-
-/// Variable bounds over a broker-hop version's MEI window: `t` spans the
-/// window, every other variable keeps its current value (discrete variables
-/// are piecewise-constant until the next evolution) or, while unset, its
-/// declared range; anything else is unknown.
-class WindowBounds final : public VarBounds {
- public:
-  WindowBounds(const VariableRegistry& registry, SimTime now, Interval t) noexcept
-      : registry_(registry), now_(now), t_(t) {}
-
-  [[nodiscard]] Interval bounds(VarId var) const override {
-    if (var == elapsed_time_var_id()) return t_;
-    if (const auto value = registry_.get_at(var, now_)) return Interval::point(*value);
-    if (const auto range = registry_.declared_range(var)) {
-      return Interval::range(range->first, range->second);
-    }
-    return Interval::unknown();
-  }
-
- private:
-  const VariableRegistry& registry_;
-  SimTime now_;
-  Interval t_;
-};
-
-}  // namespace
-
 std::vector<Predicate> VesEngine::materialize_version(const EvolvingState& state,
                                                       const VariableRegistry& registry,
                                                       SimTime now) {
@@ -174,29 +146,23 @@ std::vector<Predicate> VesEngine::materialize_version(const EvolvingState& state
   out.reserve(preds.size());
   scope_.rebind(&registry, now);
   scope_.set_epoch(sub.epoch());
-  // Overestimation widens range predicates to the function's interval
-  // envelope over the upcoming MEI window (eval_interval, DESIGN.md §9.2),
-  // which by the domain's contract contains every bound the exact path could
-  // materialise before the next evolution: install `hi` for upper bounds and
-  // `lo` for lower bounds. Equality cannot be widened and stays exact.
-  const WindowBounds window{
-      registry, now,
-      Interval::range((now - sub.epoch()).count_seconds(),
-                      (now + effective_mei(sub) - sub.epoch()).count_seconds())};
+  // Overestimation widens range predicates to the function's envelope over
+  // the upcoming MEI window (window_envelope.hpp, DESIGN.md §9.2), which
+  // contains every bound the exact path could materialise before the next
+  // evolution. Equality and inequality stay exact.
+  const WindowEnvelope window{registry, now, sub.epoch(), effective_mei(sub)};
   for (std::size_t i = 0; i < preds.size(); ++i) {
     const auto& p = preds[i];
     if (!p.is_evolving()) {
       out.push_back(p);
       continue;
     }
-    const bool upper = p.op() == RelOp::kLt || p.op() == RelOp::kLe;
-    const bool lower = p.op() == RelOp::kGt || p.op() == RelOp::kGe;
+    const bool range = p.op() != RelOp::kEq && p.op() != RelOp::kNe;
     bool never = false;
     double bound = 0.0;
-    if (state.overestimate && (upper || lower)) {
-      const Interval envelope = eval_interval(state.progs[i], window);
-      never = envelope.numeric_empty();  // always NaN: never satisfiable
-      bound = upper ? envelope.hi : envelope.lo;
+    if (state.overestimate && range) {
+      if (window.widen(p, state.progs[i], out)) continue;
+      never = true;  // always NaN over the window
     } else {
       try {
         bound = state.progs[i].eval(scope_, eval_stack_);

@@ -24,6 +24,7 @@ void VariableRegistry::set(VarId var, double value, SimTime when) {
   } else {
     changes.emplace_back(when, value);
   }
+  ++vars_[var].sets;
   ++global_version_;
   for (auto& [id, listener] : listeners_) {
     listener(var, value, when);

@@ -74,9 +74,10 @@ class VariableRegistry {
     return get_at(VariableTable::instance().find(name), when);
   }
 
-  /// Number of changes applied to `var` (0 if unknown). Monotonic.
+  /// Number of set() calls applied to `var` (0 if unknown), same-instant
+  /// overwrites included. Monotonic.
   [[nodiscard]] std::uint64_t version(VarId var) const noexcept {
-    return var < vars_.size() ? vars_[var].changes.size() : 0;
+    return var < vars_.size() ? vars_[var].sets : 0;
   }
   [[nodiscard]] std::uint64_t version(std::string_view name) const noexcept {
     return version(VariableTable::instance().find(name));
@@ -132,6 +133,7 @@ class VariableRegistry {
   struct History {
     // (change time, value), strictly ordered by time. Later entries override.
     std::vector<std::pair<SimTime, double>> changes;
+    std::uint64_t sets = 0;  // every set(), including same-instant overwrites
   };
   struct Range {
     double lo = 0.0;

@@ -59,11 +59,18 @@ std::tuple<std::string_view, RelOp, std::string_view> split_predicate(std::strin
   throw CodecError("no relational operator in predicate: " + std::string(text));
 }
 
+/// Seconds of a duration option. Non-finite values, and values whose
+/// microsecond count does not fit std::int64_t (Duration's representation),
+/// are rejected; negative values keep their meaning (use the default).
 double parse_seconds(std::string_view text, std::string_view what) {
   double d = 0;
   auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), d);
   if (ec != std::errc{} || p != text.data() + text.size()) {
     throw CodecError("bad " + std::string(what) + " value: " + std::string(text));
+  }
+  const double us = d * 1e6;  // exactly what Duration::seconds converts
+  if (!(us >= -0x1p63 && us < 0x1p63)) {
+    throw CodecError(std::string(what) + " value out of range: " + std::string(text));
   }
   return d;
 }

@@ -11,7 +11,9 @@
 //   * kConstant — the folded static subscription is bit-identical to lazy
 //     evaluation and agrees with the original on every probe;
 //   * VES overestimation — a broker-hop version widened over its MEI window
-//     admits a publication at the exact bound of every instant in the window.
+//     admits a publication at the exact bound of every instant in the window;
+//   * the LEES candidate filter — a part's window envelope admits the exact
+//     bound at every instant, across window ends and variable changes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,6 +24,7 @@
 #include "analysis/analyzer.hpp"
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
+#include "evolving/lees_engine.hpp"
 #include "evolving/ves_engine.hpp"
 #include "expr/ast.hpp"
 #include "expr_oracle.hpp"
@@ -296,6 +299,73 @@ TEST(AnalysisSoundness, WidenedVesVersionAdmitsEveryInWindowBound) {
     }
   }
   EXPECT_GE(probes, 20000u);
+}
+
+TEST(AnalysisSoundness, LeesFilterAdmitsEveryInWindowBound) {
+  // The LEES candidate filter must never drop a publication the exact probe
+  // accepts. Publish at the exact bound f(tau) at 65 instants per window,
+  // over the validity window (when declared) and three MEI windows after it,
+  // with one variable change half-way: every publication must be delivered.
+  constexpr int kInstants = 65;
+  std::uint64_t filtered = 0;  // probes the filter, not the scan, selected
+  std::uint64_t probes = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng{seed};
+    Simulator sim;
+    testutil::SimHost host{sim};
+    for (int i = 0; i < 2; ++i) host.set_variable(kVarNames[i], rng.uniform(-10.0, 10.0));
+    const RelOp ops[] = {RelOp::kLe, RelOp::kGe, RelOp::kEq};
+    const RelOp op = ops[rng.uniform_int(0, 2)];
+    const Duration mei = Duration::seconds(rng.uniform(0.1, 3.0));
+    const Duration validity =
+        rng.bernoulli(0.5) ? Duration::seconds(rng.uniform(0.5, 4.0)) : Duration::zero();
+    sim.run_until(sec(rng.uniform(0.0, 10.0)));
+    Subscription sub;
+    sub.set_id(SubscriptionId{seed});
+    sub.set_mei(mei);
+    sub.set_validity(validity);
+    sub.set_epoch(sim.now());
+    sub.add(Predicate{kAttrs[0], op,
+                      random_expr(rng, static_cast<int>(rng.uniform_int(1, 4)), 2)});
+    if (!sub.predicates()[0].is_evolving()) continue;  // folded to a constant
+    const auto shared = std::make_shared<const Subscription>(sub);
+    EngineConfig cfg{.kind = EngineKind::kLees, .matcher_threads = 1};
+    LeesEngine engine{cfg};
+    engine.add(shared, NodeId{1}, host);
+
+    std::vector<SimTime> instants;
+    SimTime start = sim.now();
+    const auto add_window = [&](Duration length) {
+      for (int k = 0; k < kInstants; ++k) {
+        instants.push_back(start + Duration::micros(length.count_micros() * k / (kInstants - 1)));
+      }
+      start = start + length;
+    };
+    if (validity > Duration::zero()) add_window(validity);
+    for (int w = 0; w < 3; ++w) add_window(mei);
+
+    const ExprProgram prog = ExprProgram::compile(*sub.predicates()[0].fun());
+    std::vector<double> stack;
+    EvalScope scope;
+    for (std::size_t k = 0; k < instants.size(); ++k) {
+      sim.run_until(instants[k]);
+      if (k == instants.size() / 2) host.set_variable(kVarNames[0], rng.uniform(-10.0, 10.0));
+      scope.rebind(&host.variables(), sim.now());
+      scope.set_epoch(sub.epoch());
+      const double bound = prog.eval(scope, stack);
+      if (std::isnan(bound)) continue;  // the exact probe matches nothing
+      Publication pub;
+      pub.set(kAttrs[0], Value{bound});
+      ++probes;
+      ASSERT_EQ(testutil::match(engine, host, pub).size(), 1u)
+          << "seed " << seed << ": " << sub.predicates()[0].to_string() << " at t="
+          << (sim.now() - sub.epoch()).count_seconds() << " with bound " << bound
+          << " escapes its window envelope";
+    }
+    filtered += engine.costs().lazy_evaluations - engine.costs().scan_probes;
+  }
+  EXPECT_GE(probes, 40000u);
+  EXPECT_GE(filtered, 40000u);  // nearly every part has a finite envelope
 }
 
 TEST(AnalysisSoundness, HandPickedVerdicts) {

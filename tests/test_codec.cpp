@@ -110,6 +110,19 @@ TEST(SubscriptionCodec, Errors) {
   EXPECT_THROW(parse_subscription("[mei]x>1"), CodecError);
 }
 
+TEST(SubscriptionCodec, RejectsDurationsOutsideMicrosecondRange) {
+  // Each used to reach an out-of-range double -> int64 cast (undefined
+  // behaviour) and read back as INT64_MIN.
+  EXPECT_THROW(parse_subscription("[mei=1e300] x >= t"), CodecError);
+  EXPECT_THROW(parse_subscription("[validity=nan] x >= t"), CodecError);
+  EXPECT_THROW(parse_subscription("[tt=-inf] x >= t"), CodecError);
+  EXPECT_THROW(parse_subscription("[mei=9223372036854.776] x >= t"), CodecError);
+  // The largest representable spans and negative values still parse.
+  EXPECT_EQ(parse_subscription("[validity=9223372036854] x >= t").validity(),
+            Duration::seconds(9223372036854.0));
+  EXPECT_EQ(parse_subscription("[mei=-1] x >= t").mei(), Duration::seconds(-1.0));
+}
+
 TEST(SubscriptionCodec, RoundTrip) {
   const auto texts = {
       "x >= -3 + t; x <= 3 + t; y >= -2 + t; y <= 2 + t",

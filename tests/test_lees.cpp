@@ -79,12 +79,55 @@ TEST_F(LeesTest, NoEarlyExitAcrossDestinations) {
   EXPECT_EQ(engine.costs().lazy_evaluations, 2u);
 }
 
-TEST_F(LeesTest, NonMatchingSubsAllEvaluated) {
+TEST_F(LeesTest, NonMatchingSubsFilteredOut) {
   for (std::uint64_t i = 1; i <= 10; ++i) {
     engine.add(make_sub(i, "x <= -1 - t"), NodeId{i}, host);  // never matches x=5
   }
   EXPECT_TRUE(match(engine, host, parse_publication("x = 5")).empty());
-  EXPECT_EQ(engine.costs().lazy_evaluations, 10u);  // exhaustive scan
+  // Each envelope over the window t in [0, MEI] is x <= -1: the filter
+  // returns no candidate, so nothing is probed.
+  EXPECT_EQ(engine.costs().envelopes, 10u);
+  EXPECT_EQ(engine.costs().lazy_evaluations, 0u);
+  EXPECT_EQ(engine.costs().scan_probes, 0u);
+}
+
+TEST_F(LeesTest, UnboundedPartsAreScannedAndCounted) {
+  // `w` is neither set nor declared, so no envelope can bound the parts:
+  // they are probed on every publication, through the scan path.
+  for (std::uint64_t i = 1; i <= 10; ++i) {
+    engine.add(make_sub(i, "x <= 10 * lees_unset_w"), NodeId{i}, host);
+  }
+  EXPECT_TRUE(match(engine, host, parse_publication("x = 5")).empty());
+  EXPECT_EQ(engine.costs().lazy_evaluations, 10u);
+  EXPECT_EQ(engine.costs().scan_probes, 10u);
+  // Once the variable is set the parts are re-enveloped and filtered.
+  host.set_variable("lees_unset_w", 1.0);
+  EXPECT_EQ(match(engine, host, parse_publication("x = 5")).size(), 10u);
+  EXPECT_TRUE(match(engine, host, parse_publication("x = 50")).empty());
+  EXPECT_EQ(engine.costs().scan_probes, 10u);
+  EXPECT_EQ(engine.costs().envelopes, 20u);
+}
+
+TEST_F(LeesTest, OneEnvelopeCoversTheDeclaredValidity) {
+  engine.add(make_sub(1, "[validity=10] x >= t"), NodeId{1}, host);
+  for (const double s : {0.0, 1.0, 4.5, 9.999}) {
+    sim.run_until(sec(s));
+    EXPECT_EQ(match(engine, host, parse_publication("x = 5")).size(), s <= 5.0 ? 1u : 0u);
+  }
+  EXPECT_EQ(engine.costs().envelopes, 1u);
+  // Past its validity the part is re-enveloped once per MEI window.
+  sim.run_until(sec(10.5));
+  EXPECT_TRUE(match(engine, host, parse_publication("x = 5")).empty());
+  EXPECT_EQ(match(engine, host, parse_publication("x = 11")).size(), 1u);
+  EXPECT_EQ(engine.costs().envelopes, 2u);
+}
+
+TEST_F(LeesTest, SameInstantVariableOverwriteReenvelopes) {
+  host.set_variable("v", 1.0);
+  engine.add(make_sub(1, "x <= 10 * v"), NodeId{1}, host);
+  EXPECT_TRUE(match(engine, host, parse_publication("x = 50")).empty());
+  host.set_variable("v", 10.0);  // same instant: overwrites the first value
+  EXPECT_EQ(match(engine, host, parse_publication("x = 50")).size(), 1u);
 }
 
 TEST_F(LeesTest, StaticShortcutSkipsEvolvingEvaluation) {
@@ -110,6 +153,22 @@ TEST_F(LeesTest, RemoveEvolvingSubscription) {
   EXPECT_TRUE(engine.remove(SubscriptionId{2}, host));
   EXPECT_EQ(engine.storage_size(), 0u);
   EXPECT_TRUE(match(engine, host, parse_publication("symbol = 'A'; x = 100")).empty());
+}
+
+TEST_F(LeesTest, FilterFindsPartsAfterEarlierRemoval) {
+  // Three parts towards one destination; removing the first shifts the
+  // others within their group, and the filter must still reach each one.
+  engine.add(make_sub(1, "x >= 0 + t; x <= 1 + t"), NodeId{7}, host);
+  engine.add(make_sub(2, "x >= 10 + t; x <= 11 + t"), NodeId{7}, host);
+  engine.add(make_sub(3, "x >= 20 + t; x <= 21 + t"), NodeId{7}, host);
+  EXPECT_EQ(match(engine, host, parse_publication("x = 20.5")).size(), 1u);
+  EXPECT_TRUE(engine.remove(SubscriptionId{1}, host));
+  EXPECT_EQ(match(engine, host, parse_publication("x = 20.5")).size(), 1u);
+  EXPECT_EQ(match(engine, host, parse_publication("x = 10.5")).size(), 1u);
+  EXPECT_TRUE(match(engine, host, parse_publication("x = 0.5")).empty());
+  engine.add(make_sub(4, "x >= 30 + t; x <= 31 + t"), NodeId{7}, host);  // reuses a slot
+  EXPECT_EQ(match(engine, host, parse_publication("x = 30.5")).size(), 1u);
+  EXPECT_EQ(match(engine, host, parse_publication("x = 20.5")).size(), 1u);
 }
 
 TEST_F(LeesTest, DiscreteVariableReadAtPublicationTime) {

@@ -1,7 +1,8 @@
 // Steady-state matching must not touch the heap (tentpole acceptance
 // criterion of the compiled-predicate work): after a warm-up publication has
 // grown every scratch buffer to capacity, BrokerEngine::match performs zero
-// allocations for LEES, CLEES, VES, hybrid and static engines alike.
+// allocations for LEES, CLEES, VES, hybrid and static engines alike — for
+// LEES also while the clock advances inside its filter windows.
 //
 // The whole-program operator new/delete are replaced with counting versions
 // in this binary. All variants are forwarded to malloc/free consistently so
@@ -185,6 +186,40 @@ TEST_F(MatchAllocation, CleesCacheExpiryRefreshIsAllocFree) {
   }
   EXPECT_EQ(alloc_count() - before, 0u);
   EXPECT_GT(engine.costs().cache_misses, 60u);
+}
+
+TEST_F(MatchAllocation, LeesFilterTimeAdvanceWithinWindowIsAllocFree) {
+  // The clock moves between passes but stays inside every part's validity
+  // window, so each match runs an empty envelope wave, the filter match and
+  // the refine probes — all allocation-free.
+  LeesEngine engine{EngineConfig{.kind = EngineKind::kLees}};
+  for (int i = 1; i <= 90; ++i) {
+    const auto id = static_cast<std::uint64_t>(i);
+    const std::string body =
+        i % 2 == 0 ? "y >= 1; x <= 10 + 2 * v + 0.01 * t" : "x <= 5 * v + 0.1 * t";
+    engine.add(make_sub(id, "[validity=100] " + body), NodeId{1 + id % 7}, host);
+  }
+  const auto pubs = make_pubs();
+  std::vector<NodeId> dests;
+  dests.reserve(64);
+  for (const auto& pub : pubs) {
+    dests.clear();
+    engine.match(pub, nullptr, host, dests);
+  }
+  const std::uint64_t envelopes = engine.costs().envelopes;
+  const std::uint64_t before = alloc_count();
+  std::size_t total_dests = 0;
+  for (int round = 0; round < 20; ++round) {
+    sim.run_until(sim.now() + Duration::millis(250));
+    for (const auto& pub : pubs) {
+      dests.clear();
+      engine.match(pub, nullptr, host, dests);
+      total_dests += dests.size();
+    }
+  }
+  EXPECT_EQ(alloc_count() - before, 0u);
+  EXPECT_GT(total_dests, 0u);
+  EXPECT_EQ(engine.costs().envelopes, envelopes);  // no window ended
 }
 
 TEST_F(MatchAllocation, VesSteadyStateIsAllocFree) {

@@ -51,6 +51,8 @@ TEST(VariableRegistry, SameInstantOverwrites) {
   reg.set("v", 2.0, sec(5));
   EXPECT_EQ(reg.get("v"), 2.0);
   EXPECT_EQ(reg.get_at("v", sec(5)), 2.0);
+  // An overwrite is a change: version-keyed caches must see it.
+  EXPECT_EQ(reg.version("v"), 2u);
 }
 
 TEST(VariableRegistry, OutOfOrderSetThrows) {

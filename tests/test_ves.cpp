@@ -95,6 +95,18 @@ TEST_F(VesTest, VariableChangeBeforeMeiWaitsForDueTime) {
   EXPECT_TRUE(match(engine, host, parse_publication("x = 5")).empty());
 }
 
+TEST_F(VesTest, SameInstantOverwriteEvolvesAtDueTime) {
+  host.set_variable("v", 1.0);
+  engine.add(make_sub(1, "[mei=2] x <= 10 * v"), NodeId{1}, host);
+  host.set_variable("v", 0.1);  // overwrites the value the version was built from
+  EXPECT_EQ(match(engine, host, parse_publication("x = 5")).size(), 1u);
+  // At the due time the overwrite counts as a change: the version evolves
+  // instead of parking with the overwritten value.
+  sim.run_until(sec(2.001));
+  EXPECT_EQ(engine.ready_count(), 0u);
+  EXPECT_TRUE(match(engine, host, parse_publication("x = 5")).empty());
+}
+
 TEST_F(VesTest, MixedTimeAndVariableDependency) {
   host.set_variable("v", 2.0);
   engine.add(make_sub(1, "[mei=1] x <= t * v"), NodeId{1}, host);
