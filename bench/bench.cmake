@@ -66,6 +66,7 @@ evps_gbench(micro_matcher
 # matches, K=4 sharded matching, K=4 batches of 8 and the small evolution
 # rounds. google-benchmark rebuilds the population in every round it runs
 # to size the iteration count, so the smoke also lowers the minimum time
-# (the later flag wins) to keep that to one or two rounds.
+# (the later flag wins) to keep that to one or two rounds. LEES rows run a
+# fixed iteration count, which google-benchmark appends to their names.
 evps_gbench(micro_engines --benchmark_min_time=0.001
-  "--benchmark_filter=^BM_(VesMatch|LeesMatch|CleesMatch|VesEvolutionRound)/(100|1000)$|ShardedMatch/10000/4$|MatchBatch/10000/4/8$")
+  "--benchmark_filter=^BM_(VesMatch|LeesMatch|CleesMatch|VesEvolutionRound)/(100|1000)(/iterations:[0-9]+)?$|ShardedMatch/10000/4(/iterations:[0-9]+)?$|MatchBatch/10000/4/8(/iterations:[0-9]+)?$")

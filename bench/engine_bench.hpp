@@ -47,7 +47,8 @@ class BenchHost final : public evps::EngineHost {
 /// A 6 x 4 area of interest at a uniform position in [-world, world]^2,
 /// moving with a uniform velocity in [-2, 2]^2 units/s from t = 0.
 inline evps::SubscriptionPtr random_aoi(std::uint64_t id, evps::Rng& rng, double world,
-                                        evps::Duration mei) {
+                                        evps::Duration mei,
+                                        evps::Duration validity = evps::Duration::zero()) {
   const double x = rng.uniform(-world, world);
   const double y = rng.uniform(-world, world);
   const double dx = rng.uniform(-2, 2);
@@ -57,6 +58,7 @@ inline evps::SubscriptionPtr random_aoi(std::uint64_t id, evps::Rng& rng, double
   sub.set_epoch(evps::SimTime::zero());
   sub.set_mei(mei);
   sub.set_tt(evps::Duration::seconds(1.0));
+  sub.set_validity(validity);
   return std::make_shared<const evps::Subscription>(std::move(sub));
 }
 

@@ -11,9 +11,28 @@ namespace {
 using namespace evps;
 using namespace evps_bench;
 
-/// Timer noise off for the match benches: no evolution inside the run.
+/// The match benches' areas of interest. The one-hour MEI keeps VES
+/// evolution out of the run; the mmog workload's 10 s validity sizes the
+/// LEES filter windows (VES and CLEES ignore validity).
 SubscriptionPtr aoi_subscription(std::uint64_t id, Rng& rng) {
-  return random_aoi(id, rng, 100.0, Duration::seconds(3600));
+  return random_aoi(id, rng, 100.0, Duration::seconds(3600), Duration::seconds(10));
+}
+
+/// Virtual time each match iteration advances.
+constexpr std::int64_t kTickUs = 100;
+
+/// LEES rows run a fixed iteration count: 5,000 ticks are 0.5 s of virtual
+/// time, so every recorded LEES run stays inside the 10 s validity and its
+/// filter windows, which a time-sized run of a fast case would outlast.
+constexpr benchmark::IterationCount kLeesIterations = 5000;
+
+/// Exact LEES probes per publication, recorded next to the time.
+void count_probes(benchmark::State& state, const BrokerEngine& engine, EngineKind kind,
+                  std::int64_t pubs_per_iteration) {
+  if (kind != EngineKind::kLees) return;
+  state.counters["probes_per_pub"] =
+      static_cast<double>(engine.costs().lazy_evaluations) /
+      static_cast<double>(state.iterations() * pubs_per_iteration);
 }
 
 void engine_match_bench(benchmark::State& state, EngineKind kind) {
@@ -29,7 +48,7 @@ void engine_match_bench(benchmark::State& state, EngineKind kind) {
   std::vector<NodeId> dests;
   std::int64_t tick = 0;
   for (auto _ : state) {
-    host.advance_to(SimTime::from_micros(tick += 100));
+    host.advance_to(SimTime::from_micros(tick += kTickUs));
     Publication pub;
     pub.set("x", rng.uniform(-100.0, 100.0));
     pub.set("y", rng.uniform(-100.0, 100.0));
@@ -37,13 +56,19 @@ void engine_match_bench(benchmark::State& state, EngineKind kind) {
     engine->match(pub, nullptr, host, dests);
     benchmark::DoNotOptimize(dests.size());
   }
+  count_probes(state, *engine, kind, 1);
 }
 
 void BM_VesMatch(benchmark::State& state) { engine_match_bench(state, EngineKind::kVes); }
 void BM_LeesMatch(benchmark::State& state) { engine_match_bench(state, EngineKind::kLees); }
 void BM_CleesMatch(benchmark::State& state) { engine_match_bench(state, EngineKind::kClees); }
 BENCHMARK(BM_VesMatch)->Arg(100)->Arg(1000)->Arg(5000)->Arg(10000);
-BENCHMARK(BM_LeesMatch)->Arg(100)->Arg(1000)->Arg(5000)->Arg(10000);
+BENCHMARK(BM_LeesMatch)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(5000)
+    ->Arg(10000)
+    ->Iterations(kLeesIterations);
 BENCHMARK(BM_CleesMatch)->Arg(100)->Arg(1000)->Arg(5000)->Arg(10000);
 
 void engine_sharded_match_bench(benchmark::State& state, EngineKind kind) {
@@ -63,7 +88,7 @@ void engine_sharded_match_bench(benchmark::State& state, EngineKind kind) {
   std::vector<NodeId> dests;
   std::int64_t tick = 0;
   for (auto _ : state) {
-    host.advance_to(SimTime::from_micros(tick += 100));
+    host.advance_to(SimTime::from_micros(tick += kTickUs));
     Publication pub;
     pub.set("x", rng.uniform(-100.0, 100.0));
     pub.set("y", rng.uniform(-100.0, 100.0));
@@ -71,6 +96,7 @@ void engine_sharded_match_bench(benchmark::State& state, EngineKind kind) {
     engine->match(pub, nullptr, host, dests);
     benchmark::DoNotOptimize(dests.size());
   }
+  count_probes(state, *engine, kind, 1);
 }
 
 void BM_VesShardedMatch(benchmark::State& state) {
@@ -91,7 +117,8 @@ BENCHMARK(BM_LeesShardedMatch)
     ->Args({10000, 1})
     ->Args({10000, 2})
     ->Args({10000, 4})
-    ->Args({10000, 8});
+    ->Args({10000, 8})
+    ->Iterations(kLeesIterations);
 BENCHMARK(BM_CleesShardedMatch)
     ->Args({10000, 1})
     ->Args({10000, 2})
@@ -117,7 +144,7 @@ void engine_batch_match_bench(benchmark::State& state, EngineKind kind) {
   std::int64_t tick = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    host.advance_to(SimTime::from_micros(tick += 100));
+    host.advance_to(SimTime::from_micros(tick += kTickUs));
     for (auto& pub : pubs) {
       pub = Publication{};
       pub.set("x", rng.uniform(-100.0, 100.0));
@@ -129,6 +156,7 @@ void engine_batch_match_bench(benchmark::State& state, EngineKind kind) {
     benchmark::DoNotOptimize(dests.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
+  count_probes(state, *engine, kind, static_cast<std::int64_t>(batch));
 }
 
 void BM_VesMatchBatch(benchmark::State& state) {
@@ -146,7 +174,8 @@ BENCHMARK(BM_LeesMatchBatch)
     ->Args({10000, 4, 1})
     ->Args({10000, 4, 8})
     ->Args({10000, 4, 32})
-    ->Args({10000, 1, 8});
+    ->Args({10000, 1, 8})
+    ->Iterations(kLeesIterations);
 
 void BM_VesEvolutionRound(benchmark::State& state) {
   // One full evolution round (every subscription re-materialised) with the

@@ -51,13 +51,18 @@ Full mode runs, in order:
                            evps-sweep run (all scenarios, --selfcheck) at
                            two worker counts, the statistical comparator's
                            --selftest, and a same-parameters comparison
-                           that must report zero significant deltas.
+                           that must report zero significant deltas. Then
+                           the full sweep with BENCH_sweep.json's parameters
+                           and seeds, compared against that baseline: any
+                           significant delta or changed fingerprint fails.
   8. clang-tidy lint, bench smoke
   9. perfbench self-test   builds the end-to-end benchmark (perfbench/, an
                            optimised build under .bench_build/) against the
                            library and runs its self-test: determinism,
                            trace neutrality and the delivery-preserving
-                           knobs of zones_clees.
+                           knobs of zones_clees. Then regenerates every
+                           workload's seed-11 counts line and fails on any
+                           difference from scripts/perfbench_counts.txt.
 EOF
 }
 
@@ -115,6 +120,14 @@ if [[ "${QUICK}" == "0" ]]; then
     python3 scripts/sweep_compare.py build/sweep_smoke_a.json build/sweep_smoke_b.json
   fi
 
+  echo "=== sweep vs BENCH_sweep.json ==="
+  # The checked-in baseline's scenarios, replica count and root seed, so the
+  # replicas are identical: a significant delta at the recorded 95% CIs, or a
+  # changed first_fingerprint, means behaviour changed, not sampling noise.
+  ./build/tools/evps-sweep --scenario=all --replicas=200 --workers=2 --selfcheck \
+      --quiet --out=build/BENCH_sweep.regen.json
+  python3 scripts/sweep_compare.py BENCH_sweep.json build/BENCH_sweep.regen.json
+
   echo "=== lint (clang-tidy) ==="
   cmake --build build --target lint -j "${JOBS}"
 
@@ -136,7 +149,7 @@ if [[ "${QUICK}" == "0" ]]; then
         # builds dominate the full run (same filter and minimum time as the
         # ctest entry).
         "${bench}" --benchmark_min_time=0.001 --benchmark_repetitions=1 \
-            '--benchmark_filter=^BM_(VesMatch|LeesMatch|CleesMatch|VesEvolutionRound)/(100|1000)$|ShardedMatch/10000/4$|MatchBatch/10000/4/8$' \
+            '--benchmark_filter=^BM_(VesMatch|LeesMatch|CleesMatch|VesEvolutionRound)/(100|1000)(/iterations:[0-9]+)?$|ShardedMatch/10000/4(/iterations:[0-9]+)?$|MatchBatch/10000/4/8(/iterations:[0-9]+)?$' \
             --benchmark_out=/dev/null >/dev/null ;;
       micro_*)
         # google-benchmark micros. Plain double (seconds): the "0.01s" suffix
@@ -159,6 +172,9 @@ if [[ "${QUICK}" == "0" ]]; then
   # The benchmark compiles against the library's counters and engine API, so
   # a library change can break it; this builds it and checks its output.
   python3 perfbench/tests/selftest.py
+
+  echo "=== perfbench counts record ==="
+  scripts/perfbench_counts.sh
 fi
 
 echo "All checks passed."

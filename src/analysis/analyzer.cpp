@@ -1,5 +1,6 @@
 #include "analysis/analyzer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -155,22 +156,29 @@ Interval RegistryVarBounds::bounds(VarId var) const {
   return Interval::unknown();
 }
 
+BoundFold fold_bound(const ExprProgram& fun, const VariableRegistry& registry, SimTime epoch) {
+  BoundFold fold;
+  fold.interval = eval_interval(fun, RegistryVarBounds(registry));
+  if (!fold.interval.is_point() || !std::isfinite(fold.interval.lo)) return fold;
+  for (const auto& insn : fun.code()) {
+    if (insn.op == ExprProgram::Op::kLoadVar && insn.var != elapsed_time_var_id() &&
+        !registry.get_at(insn.var, epoch).has_value()) {
+      return fold;
+    }
+  }
+  fold.value = fold.interval.lo;
+  return fold;
+}
+
 SubscriptionAnalysis analyze_subscription(const Subscription& sub,
                                           const VariableRegistry& registry,
                                           const std::vector<const Advertisement*>& ads) {
   SubscriptionAnalysis out;
   out.predicates.reserve(sub.predicates().size());
-  const RegistryVarBounds bounds(registry);
 
   std::map<AttrId, AttrSat> sat;
-  bool all_evolving_constant = true;
   bool any_evolving = false;
-  // Folding replaces lazy evaluation with a static predicate, so it is only
-  // valid when lazy evaluation cannot fail closed: every referenced variable
-  // must resolve at every future evaluation instant. `t` always resolves;
-  // registry variables resolve from their first change onwards, so a value
-  // in effect at the subscription epoch stays in effect forever after.
-  bool foldable_vars = true;
+  bool all_fold = true;  // every evolving bound passes fold_bound
 
   for (const Predicate& pred : sub.predicates()) {
     PredicateAnalysis pa;
@@ -188,20 +196,14 @@ SubscriptionAnalysis analyze_subscription(const Subscription& sub,
       out.predicates.push_back(pa);
       return out;
     }
-    pa.interval = eval_interval(prog, bounds);
-    for (const VarId var : prog.variables()) {
-      if (var == elapsed_time_var_id()) {
-        pa.time_dependent = true;
-      } else if (!registry.get_at(var, sub.epoch()).has_value()) {
-        foldable_vars = false;
-      }
-    }
+    const BoundFold fold = fold_bound(prog, registry, sub.epoch());
+    pa.interval = fold.interval;
+    all_fold = all_fold && fold.value.has_value();
+    pa.time_dependent = std::ranges::binary_search(prog.variables(), elapsed_time_var_id());
     out.time_dependent = out.time_dependent || pa.time_dependent;
-    all_evolving_constant = all_evolving_constant && pa.constant_bound();
     apply_numeric_bound(sat[pred.attr_id()], pred.op(), pa.interval);
     out.predicates.push_back(pa);
   }
-  out.constant_bounds = any_evolving && all_evolving_constant;
 
   for (const auto& [attr, attr_sat] : sat) {
     if (attr_sat.empty()) {
@@ -248,30 +250,19 @@ SubscriptionAnalysis analyze_subscription(const Subscription& sub,
     }
   }
 
-  if (out.constant_bounds && foldable_vars) {
+  if (any_evolving && all_fold) {
     Subscription folded(sub.id(), sub.subscriber(), {});
     folded.set_mei(sub.mei()).set_tt(sub.tt()).set_validity(sub.validity()).set_epoch(sub.epoch());
-    bool fold_ok = true;
-    for (const Predicate& pred : sub.predicates()) {
-      if (!pred.is_evolving()) {
-        folded.add(pred);
-        continue;
-      }
-      const std::size_t index = static_cast<std::size_t>(&pred - sub.predicates().data());
-      const double v = out.predicates[index].interval.lo;
-      // Non-finite constants do not round-trip through the codec as static
-      // Values (see Predicate's evolving constructor); keep those lazy.
-      if (!std::isfinite(v)) {
-        fold_ok = false;
-        break;
-      }
-      folded.add(Predicate(pred.attribute(), pred.op(), Value{v}));
+    for (std::size_t i = 0; i < sub.predicates().size(); ++i) {
+      const Predicate& pred = sub.predicates()[i];
+      // A folded bound's value is its interval's single point.
+      folded.add(pred.is_evolving()
+                     ? Predicate(pred.attribute(), pred.op(), Value{out.predicates[i].interval.lo})
+                     : pred);
     }
-    if (fold_ok) {
-      out.verdict = Verdict::kConstant;
-      out.diagnostic = "every evolving bound is provably constant";
-      out.folded = std::move(folded);
-    }
+    out.verdict = Verdict::kConstant;
+    out.diagnostic = "every evolving bound is provably constant";
+    out.folded = std::move(folded);
   }
 
   if (out.verdict == Verdict::kOk && any_evolving) {

@@ -39,6 +39,7 @@
 
 #include "analysis/interval.hpp"
 #include "analysis/verifier.hpp"
+#include "common/sim_time.hpp"
 #include "expr/variable_registry.hpp"
 #include "message/advertisement.hpp"
 #include "message/subscription.hpp"
@@ -84,14 +85,30 @@ class RegistryVarBounds final : public VarBounds {
   const VariableRegistry* registry_;
 };
 
+/// An evolving bound's interval over the declared ranges and, when the fold
+/// rule holds, the one value it always evaluates to.
+struct BoundFold {
+  Interval interval = Interval::top();
+  std::optional<double> value;
+};
+
+/// The fold rule, shared by the kConstant verdict and CLEES's never-expiring
+/// versions. The bound `fun` of a subscription installed at `epoch` folds iff
+/// its interval over the declared ranges (RegistryVarBounds) is one finite
+/// value and every variable it reads, other than `t`, is set by `epoch`. A
+/// value in effect at the epoch stays in effect forever after, so lazy
+/// evaluation never fails closed and always yields that value, bit for bit
+/// (interval.hpp's point-exactness contract). Non-finite values stay lazy:
+/// they do not round-trip through the codec as static Values.
+[[nodiscard]] BoundFold fold_bound(const ExprProgram& fun, const VariableRegistry& registry,
+                                   SimTime epoch);
+
 struct PredicateAnalysis {
   bool evolving = false;
   /// Bound-value interval (evolving predicates only; top for static).
   Interval interval = Interval::top();
   /// References the elapsed-time variable `t`.
   bool time_dependent = false;
-  /// Bound provably a single value for all reachable variable assignments.
-  [[nodiscard]] bool constant_bound() const noexcept { return interval.is_point(); }
 };
 
 struct SubscriptionAnalysis {
@@ -101,11 +118,8 @@ struct SubscriptionAnalysis {
   /// Parallel to Subscription::predicates().
   std::vector<PredicateAnalysis> predicates;
   /// Any evolving predicate references `t` (bounds drift with wall time even
-  /// when no discrete variable changes). CLEES uses !time_dependent to
-  /// extend TT cache windows across unchanged registry versions.
+  /// when no discrete variable changes).
   bool time_dependent = false;
-  /// Every evolving predicate has a provably constant bound.
-  bool constant_bounds = false;
   /// Index of the predicate flagged by kRelRedundant, -1 otherwise.
   int redundant_predicate = -1;
   /// Static equivalent, present iff verdict == kConstant: evolving

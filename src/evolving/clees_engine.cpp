@@ -1,16 +1,18 @@
 #include "evolving/clees_engine.hpp"
 
+#include <algorithm>
+
 #include "analysis/analyzer.hpp"
 
 namespace evps {
 
 void CleesEngine::on_install(Part& part, const Installed& entry, EngineHost& host) {
-  // Provably-constant bounds never need re-materialisation, t-independent
-  // bounds only when a registry variable changed — decided here instead of
-  // re-deriving bounds per publication.
-  const SubscriptionAnalysis analysis = analyze_subscription(*entry.sub, host.variables());
-  part.extra.constant_bounds = analysis.verdict == Verdict::kConstant;
-  part.extra.time_invariant = !analysis.time_dependent;
+  // Bounds that fold (the kConstant rule) never need re-materialisation,
+  // t-independent bounds only when a registry variable changed.
+  part.extra.constant_bounds = std::ranges::all_of(part.preds, [&](const CompiledPredicate& cp) {
+    return fold_bound(cp.program(), host.variables(), entry.sub->epoch()).value.has_value();
+  });
+  part.extra.time_invariant = !reads_time(part.preds);
 }
 
 inline bool CleesEngine::probe(Part& part, const Publication& pub,

@@ -40,12 +40,12 @@ struct CleesPartState {
   /// A version has been materialised into `bounds` (expires alone cannot
   /// tell: the analysis windows below outlive it).
   bool populated = false;
-  /// Static analysis at install time (analysis/analyzer.hpp): bounds
-  /// provably constant for every reachable variable state — the first
-  /// materialised version never expires.
+  /// Every bound folds (fold_bound, analysis/analyzer.hpp): one value for
+  /// every reachable variable state, so the first materialised version never
+  /// expires.
   bool constant_bounds = false;
-  /// Bounds independent of `t`: a version stays exact until some registry
-  /// variable changes, however far past TT that is.
+  /// No bound reads `t` (reads_time): a version stays exact until some
+  /// registry variable changes, however far past TT that is.
   bool time_invariant = false;
   /// VariableRegistry::global_version() when `bounds` was materialised.
   std::uint64_t seen_version = 0;

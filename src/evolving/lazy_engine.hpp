@@ -133,6 +133,11 @@ class LazyEngine : public BrokerEngine {
   void on_install(Part& /*part*/, const Installed& /*entry*/, EngineHost& /*host*/) {}
 
   void do_add(const Installed& entry, EngineHost& host) override;
+  /// Install an evolving entry around its compiled part `preds`
+  /// (compile_evolving): the part into its shard, any static half into the
+  /// matcher.
+  void install_part(const Installed& entry, std::vector<CompiledPredicate> preds,
+                    EngineHost& host);
   void do_remove(const Installed& entry, EngineHost& host) override;
   void do_match(const Publication& pub, const VariableSnapshot* snapshot, EngineHost& host,
                 std::vector<NodeId>& destinations) override;
@@ -224,14 +229,21 @@ std::size_t LazyEngine<Derived, Extra>::storage_size() const noexcept {
 
 template <class Derived, class Extra>
 void LazyEngine<Derived, Extra>::do_add(const Installed& entry, EngineHost& host) {
-  const auto& sub = *entry.sub;
-  if (!sub.is_evolving()) {
+  if (!entry.sub->is_evolving()) {
     matcher_add_static(entry);
     return;
   }
+  install_part(entry, compile_evolving(*entry.sub), host);
+}
+
+template <class Derived, class Extra>
+void LazyEngine<Derived, Extra>::install_part(const Installed& entry,
+                                              std::vector<CompiledPredicate> preds,
+                                              EngineHost& host) {
+  const auto& sub = *entry.sub;
   const auto static_part = sub.static_predicates();
   const std::size_t s = sharded_->shard_of(sub.id());
-  auto part = storage_[s].make_part(entry.sub, !static_part.empty());
+  auto part = storage_[s].make_part(entry.sub, std::move(preds), !static_part.empty());
   static_cast<Derived&>(*this).on_install(part, entry, host);
   if (part.has_static_part) matcher_->add(sub.id(), static_part);
   if constexpr (Derived::kPureProbe) {
@@ -285,8 +297,8 @@ void LazyEngine<Derived, Extra>::envelope_wave(std::size_t s, const VariableRegi
     }
   } else {
     filter.windows.pop_due(now, due);
-    // Versions are only re-read when some variable changed at all — the
-    // check VES's needs_evolution makes per subscription.
+    // Stamps (the ones VES also reads) are only re-read when some variable
+    // changed at all.
     if (registry.global_version() != filter.seen_version) {
       for (const auto slot : filter.watched) {
         if (discrete_versions(storage.part(slot).preds, registry) !=

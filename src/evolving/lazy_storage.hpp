@@ -26,12 +26,13 @@
 // for LEES, the TT cache for CLEES, mode + version for the hybrid).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "analysis/verifier.hpp"
 #include "common/ids.hpp"
 #include "expr/variable_registry.hpp"
 #include "message/messages.hpp"
@@ -98,20 +99,14 @@ class LazyStorage {
     std::uint32_t done_stamp = 0;  // dest settled iff == current generation
   };
 
-  /// Build a part from an evolving subscription (compiles its predicates).
-  /// Every compiled program is verified before it can reach the evaluation
-  /// hot path (which runs without bounds checks); malformed programs throw
-  /// VerifyError and the part is never installed.
-  [[nodiscard]] Part make_part(const SubscriptionPtr& sub, bool has_static_part) {
+  /// Build a part around an evolving subscription's compiled part (the
+  /// verified programs of compile_evolving, window_envelope.hpp).
+  [[nodiscard]] Part make_part(const SubscriptionPtr& sub, std::vector<CompiledPredicate> preds,
+                               bool has_static_part) {
     Part part;
     part.id = sub->id();
     part.sub = sub;
-    const auto& preds = sub->predicates();
-    for (const auto& p : preds) {
-      if (!p.is_evolving()) continue;
-      part.preds.emplace_back(p);
-      verify_or_throw(part.preds.back().program());
-    }
+    part.preds = std::move(preds);
     part.has_static_part = has_static_part;
     if (!free_slots_.empty()) {
       part.slot = free_slots_.back();

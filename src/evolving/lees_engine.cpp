@@ -6,20 +6,21 @@
 namespace evps {
 namespace {
 
-/// Dedup key for a FULLY-evolving subscription towards `dest`: destination +
-/// epoch + order-independent, bit-exact serialization of each compiled
-/// predicate (opcode stream with operand bit patterns). Equal keys imply
-/// bit-identical evaluation on every publication: same programs, same
-/// operators, same `t` origin, same destination.
-std::string lazy_dedup_key(NodeId dest, const Subscription& sub) {
+/// Dedup key for a FULLY-evolving subscription towards `dest`, from its
+/// compiled part: destination + epoch + order-independent, bit-exact
+/// serialization of each compiled predicate (attribute id, operator, opcode
+/// stream with operand bit patterns). Equal keys imply bit-identical
+/// evaluation on every publication: same programs, same operators, same `t`
+/// origin, same destination.
+std::string lazy_dedup_key(NodeId dest, SimTime epoch,
+                           const std::vector<CompiledPredicate>& preds) {
   std::vector<std::string> parts;
-  parts.reserve(sub.predicates().size());
-  for (const auto& p : sub.predicates()) {
-    std::string s = std::to_string(p.attr_id());
+  parts.reserve(preds.size());
+  for (const auto& cp : preds) {
+    std::string s = std::to_string(cp.attr());
     s += '~';
-    s += std::to_string(static_cast<int>(p.op()));
-    const ExprProgram prog = ExprProgram::compile(*p.fun());
-    for (const auto& insn : prog.code()) {
+    s += std::to_string(static_cast<int>(cp.op()));
+    for (const auto& insn : cp.program().code()) {
       std::uint64_t bits = 0;
       std::memcpy(&bits, &insn.k, sizeof(bits));
       s += '~';
@@ -36,7 +37,7 @@ std::string lazy_dedup_key(NodeId dest, const Subscription& sub) {
   std::sort(parts.begin(), parts.end());
   std::string key = std::to_string(dest.value());
   key += '@';
-  key += std::to_string(sub.epoch().micros());
+  key += std::to_string(epoch.micros());
   for (const auto& part : parts) {
     key += '|';
     key += part;
@@ -52,13 +53,13 @@ void LeesEngine::do_add(const Installed& entry, EngineHost& host) {
     LazyEngine::do_add(entry, host);
     return;
   }
-  // Fully-evolving: share one LEME part per identical group. The key is
-  // built (and programs compiled) before any state changes, so compile
-  // failures leave the engine untouched; the canonical install is undone
-  // from the table if verification rejects it below.
-  if (!lazy_dedup_.add(sub.id(), lazy_dedup_key(entry.dest, sub))) return;
+  // Fully-evolving: share one LEME part per identical group. The part is
+  // compiled and verified before any state changes, so a malformed one
+  // leaves the engine untouched; a failed install is undone from the table.
+  auto preds = compile_evolving(sub);
+  if (!lazy_dedup_.add(sub.id(), lazy_dedup_key(entry.dest, sub.epoch(), preds))) return;
   try {
-    LazyEngine::do_add(entry, host);
+    install_part(entry, std::move(preds), host);
   } catch (...) {
     lazy_dedup_.remove(sub.id());
     throw;

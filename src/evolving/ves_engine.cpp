@@ -1,9 +1,7 @@
 #include "evolving/ves_engine.hpp"
 
-#include <algorithm>
 #include <cmath>
 
-#include "analysis/verifier.hpp"
 #include "evolving/window_envelope.hpp"
 
 namespace evps {
@@ -18,27 +16,12 @@ void VesEngine::do_add(const Installed& entry, EngineHost& host) {
     matcher_add_static(entry);
     return;
   }
+  // Compiled and verified before any state changes: materialize_version
+  // runs these programs without bounds checks.
+  EvolvingState state{.sub = entry.sub,
+                      .preds = compile_evolving(sub),
+                      .overestimate = config_.overestimate_forwarding && entry.dest_is_broker};
   ensure_listener(host);
-
-  EvolvingState state;
-  state.sub = entry.sub;
-  state.progs.reserve(sub.predicates().size());
-  for (const auto& p : sub.predicates()) {
-    state.progs.push_back(p.is_evolving() ? ExprProgram::compile(*p.fun()) : ExprProgram{});
-    // Gate before install: materialize_version runs these programs without
-    // bounds checks, so malformed ones must never enter the state table.
-    if (p.is_evolving()) verify_or_throw(state.progs.back());
-    for (const VarId var : state.progs.back().variables()) state.vars.push_back(var);
-  }
-  std::sort(state.vars.begin(), state.vars.end());
-  state.vars.erase(std::unique(state.vars.begin(), state.vars.end()), state.vars.end());
-  const auto t_pos =
-      std::find(state.vars.begin(), state.vars.end(), elapsed_time_var_id());
-  if (t_pos != state.vars.end()) {
-    state.depends_on_time = true;
-    state.vars.erase(t_pos);
-  }
-  state.overestimate = config_.overestimate_forwarding && entry.dest_is_broker;
 
   const SimTime now = host.now();
   auto& registry = host.variables();
@@ -48,8 +31,7 @@ void VesEngine::do_add(const Installed& entry, EngineHost& host) {
     const ScopedTimer timer(costs_.maintenance);
     matcher_->add(sub.id(), materialize_version(state, registry, now));
   }
-  state.seen_versions.reserve(state.vars.size());
-  for (const VarId var : state.vars) state.seen_versions.push_back(registry.version(var));
+  state.versions = discrete_versions(state.preds, registry);
   evolving_.emplace(sub.id(), std::move(state));
 
   esq_.push(sub.id(), now + effective_mei(sub));
@@ -73,9 +55,9 @@ void VesEngine::ensure_listener(EngineHost& host) {
   if (listened_registry_ == &registry) return;
   if (listened_registry_ != nullptr) listened_registry_->remove_listener(listener_id_);
   listened_registry_ = &registry;
-  listener_id_ =
-      registry.add_listener([this, &host](VarId var, double /*value*/, SimTime /*when*/) {
-        on_variable_changed(var, host);
+  listener_id_ = registry.add_listener(
+      [this, &host](VarId /*var*/, double /*value*/, SimTime /*when*/) {
+        on_variable_changed(host);
       });
 }
 
@@ -99,7 +81,11 @@ void VesEngine::on_timer(EngineHost& host) {
   for (const auto id : due) {
     const auto it = evolving_.find(id);
     if (it == evolving_.end()) continue;  // concurrently unsubscribed
-    if (needs_evolution(it->second, host.variables())) {
+    // The version is out of date if it reads the always-changing `t`, or if
+    // one of its discrete variables changed since (the stamp moved).
+    const EvolvingState& state = it->second;
+    if (reads_time(state.preds) ||
+        discrete_versions(state.preds, host.variables()) != state.versions) {
       to_evolve.push_back(id);
     } else {
       // Park until one of its variables changes (paper's ready list).
@@ -110,13 +96,16 @@ void VesEngine::on_timer(EngineHost& host) {
   arm_timer(host);
 }
 
-void VesEngine::on_variable_changed(VarId var, EngineHost& host) {
+void VesEngine::on_variable_changed(EngineHost& host) {
   if (ready_.empty()) return;
+  // A parked stamp was current when it parked, and every later change was
+  // reported here at once, so only the variable just changed can have moved
+  // it: the moved stamps are the parked subscriptions that read it.
   std::vector<SubscriptionId> to_evolve;
   for (const auto id : ready_) {
     const auto it = evolving_.find(id);
     if (it != evolving_.end() &&
-        std::binary_search(it->second.vars.begin(), it->second.vars.end(), var)) {
+        discrete_versions(it->second.preds, host.variables()) != it->second.versions) {
       to_evolve.push_back(id);
     }
   }
@@ -125,25 +114,12 @@ void VesEngine::on_variable_changed(VarId var, EngineHost& host) {
   arm_timer(host);
 }
 
-bool VesEngine::needs_evolution(const EvolvingState& state,
-                                const VariableRegistry& registry) const {
-  if (state.depends_on_time) return true;  // continuous variables always change
-  // seen_versions records every depended-on variable, with 0 for variables
-  // unknown at materialisation time — so a variable appearing later reads as
-  // a version change too.
-  for (std::size_t i = 0; i < state.vars.size(); ++i) {
-    if (registry.version(state.vars[i]) != state.seen_versions[i]) return true;
-  }
-  return false;
-}
-
 std::vector<Predicate> VesEngine::materialize_version(const EvolvingState& state,
                                                       const VariableRegistry& registry,
                                                       SimTime now) {
   const auto& sub = *state.sub;
-  const auto& preds = sub.predicates();
   std::vector<Predicate> out;
-  out.reserve(preds.size());
+  out.reserve(sub.predicates().size());
   scope_.rebind(&registry, now);
   scope_.set_epoch(sub.epoch());
   // Overestimation widens range predicates to the function's envelope over
@@ -151,24 +127,21 @@ std::vector<Predicate> VesEngine::materialize_version(const EvolvingState& state
   // contains every bound the exact path could materialise before the next
   // evolution. Equality and inequality stay exact.
   const WindowEnvelope window{registry, now, sub.epoch(), effective_mei(sub)};
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    const auto& p = preds[i];
+  std::size_t i = 0;  // state.preds are the evolving predicates, in order
+  for (const auto& p : sub.predicates()) {
     if (!p.is_evolving()) {
       out.push_back(p);
       continue;
     }
+    const CompiledPredicate& cp = state.preds[i++];
     const bool range = p.op() != RelOp::kEq && p.op() != RelOp::kNe;
     bool never = false;
     double bound = 0.0;
     if (state.overestimate && range) {
-      if (window.widen(p, state.progs[i], out)) continue;
+      if (window.widen(p, cp.program(), out)) continue;
       never = true;  // always NaN over the window
     } else {
-      try {
-        bound = state.progs[i].eval(scope_, eval_stack_);
-      } catch (const UnboundVariableError&) {
-        never = true;
-      }
+      bound = cp.bound(scope_, eval_stack_, never);
     }
     // Fail closed: an unbound variable (or an always-NaN envelope) yields a
     // version that can never be satisfied (NaN is incomparable and kLt never
@@ -179,31 +152,8 @@ std::vector<Predicate> VesEngine::materialize_version(const EvolvingState& state
   return out;
 }
 
-void VesEngine::evolve(SubscriptionId id, EvolvingState& state, EngineHost& host) {
-  auto& registry = host.variables();
-  const SimTime now = host.now();
-  {
-    // Replace the stored version: the remove + insert against the matcher is
-    // the dominant VES maintenance cost (Figure 9 discussion).
-    const ScopedTimer timer(costs_.maintenance);
-    const std::vector<Predicate> version = materialize_version(state, registry, now);
-    matcher_->remove(id);
-    matcher_->add(id, version);
-  }
-  ++costs_.evolutions;
-  for (std::size_t i = 0; i < state.vars.size(); ++i) {
-    state.seen_versions[i] = registry.version(state.vars[i]);
-  }
-  esq_.push(id, now + effective_mei(*state.sub));
-}
-
 void VesEngine::evolve_batch(const std::vector<SubscriptionId>& due, EngineHost& host) {
   if (due.empty()) return;
-  if (due.size() == 1) {
-    const auto it = evolving_.find(due.front());
-    if (it != evolving_.end()) evolve(due.front(), it->second, host);
-    return;
-  }
   auto& registry = host.variables();
   const SimTime now = host.now();
   std::vector<MatcherBatchEntry> batch;
@@ -211,8 +161,11 @@ void VesEngine::evolve_batch(const std::vector<SubscriptionId>& due, EngineHost&
   std::vector<EvolvingState*> states;
   states.reserve(due.size());
   {
-    // One timer sample over the whole wave; benches consume maintenance.sum()
-    // so batching the measurement does not change what is reported.
+    // Replacing the stored versions — the remove + insert against the
+    // matcher — is the dominant VES maintenance cost (Figure 9 discussion).
+    // One timer sample covers the whole wave; benches consume
+    // maintenance.sum(), so batching the measurement changes nothing
+    // reported.
     const ScopedTimer timer(costs_.maintenance);
     for (const auto id : due) {
       const auto it = evolving_.find(id);
@@ -224,12 +177,9 @@ void VesEngine::evolve_batch(const std::vector<SubscriptionId>& due, EngineHost&
     matcher_->add_batch(std::move(batch));
   }
   costs_.evolutions += states.size();
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    EvolvingState& state = *states[i];
-    for (std::size_t v = 0; v < state.vars.size(); ++v) {
-      state.seen_versions[v] = registry.version(state.vars[v]);
-    }
-    esq_.push(state.sub->id(), now + effective_mei(*state.sub));
+  for (EvolvingState* state : states) {
+    state->versions = discrete_versions(state->preds, registry);
+    esq_.push(state->sub->id(), now + effective_mei(*state->sub));
   }
 }
 

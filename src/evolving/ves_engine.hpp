@@ -18,10 +18,12 @@
 // class's matcher-only path), which is why VES "has the advantage of not
 // being affected by publications".
 //
-// Dependency tracking is keyed by interned VarId: each evolving state keeps
-// a sorted id vector with the registry versions observed at the last
-// materialisation, and the registry's change listener reports VarIds, so
-// change fan-out never touches variable names.
+// Each evolving state keeps the subscription's compiled part
+// (compile_evolving, the lazy engines' starting point too) and the LEES
+// filter's discrete-version stamp taken at the last materialisation. A
+// version is due for replacement when it reads `t` or its stamp moved; the
+// registry reports every change synchronously, so on a change the parked
+// subscriptions whose stamp moved are exactly those reading that variable.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,6 @@
 
 #include "evolving/engine.hpp"
 #include "evolving/esq.hpp"
-#include "expr/program.hpp"
 
 namespace evps {
 
@@ -52,16 +53,10 @@ class VesEngine final : public BrokerEngine {
  private:
   struct EvolvingState {
     SubscriptionPtr sub;
-    /// Compiled operands, parallel to sub->predicates(); empty programs in
-    /// the slots of static predicates.
-    std::vector<ExprProgram> progs;
-    /// Discrete evolution variables referenced, sorted ascending (`t`
-    /// excluded — it is tracked by depends_on_time).
-    std::vector<VarId> vars;
-    /// Registry versions captured when the current version was materialised,
-    /// parallel to `vars`.
-    std::vector<std::uint64_t> seen_versions;
-    bool depends_on_time = false;  // references the continuous `t`
+    /// The compiled part: the evolving predicates of sub, in order.
+    std::vector<CompiledPredicate> preds;
+    /// discrete_versions(preds) when the current version was materialised.
+    std::uint64_t versions = 0;
     /// Widen versions over the MEI window (forwarding-hop subscriptions
     /// under the overestimation extension, Section IV-A).
     bool overestimate = false;
@@ -70,20 +65,14 @@ class VesEngine final : public BrokerEngine {
   void ensure_listener(EngineHost& host);
   void arm_timer(EngineHost& host);
   void on_timer(EngineHost& host);
-  void on_variable_changed(VarId var, EngineHost& host);
+  void on_variable_changed(EngineHost& host);
 
-  /// True iff any depended-on variable changed since materialisation.
-  [[nodiscard]] bool needs_evolution(const EvolvingState& state,
-                                     const VariableRegistry& registry) const;
-
-  /// Replace the matcher version with a fresh evaluation and reschedule.
-  void evolve(SubscriptionId id, EvolvingState& state, EngineHost& host);
-
-  /// Bulk version swap: re-materialise every id in `due` (unknown ids are
-  /// skipped), remove the old versions, and install the new ones through one
+  /// The one evolution path: re-materialise every id in `due` (unknown ids
+  /// are skipped), remove the old versions, install the new ones through one
   /// matcher add_batch — the paged bound indexes then pay one sorted merge
   /// per touched (attribute, operator) list instead of one binary-searched
-  /// insert per predicate. Timer and variable-change waves both land here.
+  /// insert per predicate — and reschedule. Timer and variable-change waves
+  /// both land here.
   void evolve_batch(const std::vector<SubscriptionId>& due, EngineHost& host);
 
   /// Non-evolving version of the subscription at `now`; if the state asks

@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "analysis/verifier.hpp"
+
 namespace evps {
 namespace {
 
@@ -20,6 +22,17 @@ std::int64_t elapsed_us(SimTime from, SimTime to) noexcept {
   std::int64_t diff = 0;
   if (!__builtin_sub_overflow(to.micros(), from.micros(), &diff)) return diff;
   return from.micros() < 0 ? kMaxUs : kMinUs;
+}
+
+/// True iff some predicate loads `t` (time) or a discrete variable (!time).
+bool reads_var(const std::vector<CompiledPredicate>& preds, bool time) {
+  const VarId t = elapsed_time_var_id();
+  for (const auto& cp : preds) {
+    for (const auto& insn : cp.program().code()) {
+      if (insn.op == ExprProgram::Op::kLoadVar && (insn.var == t) == time) return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -80,6 +93,16 @@ Duration filter_window(const Subscription& sub, SimTime now, Duration mei) noexc
   return mei;
 }
 
+std::vector<CompiledPredicate> compile_evolving(const Subscription& sub) {
+  std::vector<CompiledPredicate> preds;
+  for (const auto& p : sub.predicates()) {
+    if (!p.is_evolving()) continue;
+    preds.emplace_back(p);
+    verify_or_throw(preds.back().program());
+  }
+  return preds;
+}
+
 std::uint64_t discrete_versions(const std::vector<CompiledPredicate>& preds,
                                 const VariableRegistry& registry) {
   const VarId t = elapsed_time_var_id();
@@ -93,13 +116,11 @@ std::uint64_t discrete_versions(const std::vector<CompiledPredicate>& preds,
 }
 
 bool reads_discrete(const std::vector<CompiledPredicate>& preds) {
-  const VarId t = elapsed_time_var_id();
-  for (const auto& cp : preds) {
-    for (const auto& insn : cp.program().code()) {
-      if (insn.op == ExprProgram::Op::kLoadVar && insn.var != t) return true;
-    }
-  }
-  return false;
+  return reads_var(preds, /*time=*/false);
+}
+
+bool reads_time(const std::vector<CompiledPredicate>& preds) {
+  return reads_var(preds, /*time=*/true);
 }
 
 }  // namespace evps

@@ -1,5 +1,7 @@
 // Window envelopes: the one widening rule VES broker-hop versions and the
-// LEES candidate filter share (DESIGN.md §9.2).
+// LEES candidate filter share (DESIGN.md §9.2), plus the compiled part every
+// engine starts from and the facts derived from it (reads `t`, reads a
+// discrete variable, the discrete-version stamp).
 //
 // Over a window [now, end] of a subscription's life, `t` spans
 // [now − epoch, end − epoch] and every other variable is bounded by its
@@ -63,6 +65,12 @@ class WindowEnvelope final : public VarBounds {
 /// formed, so huge values cannot overflow.
 [[nodiscard]] Duration filter_window(const Subscription& sub, SimTime now, Duration mei) noexcept;
 
+/// The compiled part of an evolving subscription: its evolving predicates, in
+/// order, each compiled and verified. Every engine evaluates these programs
+/// without bounds checks, so a malformed one throws VerifyError here, before
+/// the caller changes any state.
+[[nodiscard]] std::vector<CompiledPredicate> compile_evolving(const Subscription& sub);
+
 /// Sum of the registry versions of every discrete variable `preds` read
 /// (`t` excluded). Versions only grow, so the sum changes iff one of those
 /// variables changed.
@@ -71,5 +79,8 @@ class WindowEnvelope final : public VarBounds {
 
 /// True iff some predicate reads a discrete variable (anything but `t`).
 [[nodiscard]] bool reads_discrete(const std::vector<CompiledPredicate>& preds);
+
+/// True iff some predicate reads the continuous variable `t`.
+[[nodiscard]] bool reads_time(const std::vector<CompiledPredicate>& preds);
 
 }  // namespace evps

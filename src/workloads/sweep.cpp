@@ -174,7 +174,8 @@ std::uint64_t derive_replica_seed(std::uint64_t root, std::size_t index) noexcep
 }
 
 bool valid_scale(double scale) noexcept {
-  return scale > 0 && std::round(static_cast<double>(kGameCharacters) * scale) < 0x1p64;
+  return scale > 0 &&
+         std::round(static_cast<double>(kGameCharacters) * scale) <= kMaxScaledPopulation;
 }
 
 std::optional<SweepScenario> parse_sweep_scenario(std::string_view name) noexcept {

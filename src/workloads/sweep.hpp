@@ -62,8 +62,12 @@ enum class SweepScenario {
 
 [[nodiscard]] std::optional<SweepScenario> parse_sweep_scenario(std::string_view name) noexcept;
 
-/// True when `scale` is positive and every scenario's scaled population
-/// fits a std::size_t.
+/// Largest scaled population (characters, clients, stocks or clusters) a
+/// sweep accepts: far above any useful replica, far below a failing allocation.
+inline constexpr double kMaxScaledPopulation = 1e6;
+
+/// True when `scale` is positive and no scaled population exceeds
+/// kMaxScaledPopulation.
 [[nodiscard]] bool valid_scale(double scale) noexcept;
 
 struct SweepOptions {

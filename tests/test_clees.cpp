@@ -147,5 +147,34 @@ TEST_F(CleesTest, DiscreteVariablePickedUpAfterExpiry) {
   EXPECT_TRUE(match(engine, host, parse_publication("x = 5")).empty());
 }
 
+TEST_F(CleesTest, ConstantBoundVersionOutlivesTtAndVariableChanges) {
+  // A point range with the variable set by the epoch: the bound folds, so the
+  // first version is exact forever, whatever else changes.
+  host.variables().declare_range("clees_point_c", 2.0, 2.0);
+  host.set_variable("clees_point_c", 2.0);
+  engine.add(make_sub(1, "[tt=1] x <= 10 * clees_point_c"), NodeId{1}, host);
+  EXPECT_EQ(match(engine, host, parse_publication("x = 20")).size(), 1u);
+  sim.run_until(sec(5));
+  host.set_variable("clees_other_w", 1.0);
+  EXPECT_EQ(match(engine, host, parse_publication("x = 20")).size(), 1u);
+  EXPECT_TRUE(match(engine, host, parse_publication("x = 21")).empty());
+  EXPECT_EQ(engine.costs().cache_misses, 1u);
+  EXPECT_EQ(engine.costs().cache_hits, 2u);
+}
+
+TEST_F(CleesTest, TimeInvariantVersionOutlivesTtUntilAVariableChanges) {
+  host.set_variable("v", 1.0);
+  engine.add(make_sub(1, "[tt=1] x <= 10 * v"), NodeId{1}, host);
+  EXPECT_EQ(match(engine, host, parse_publication("x = 10")).size(), 1u);
+  sim.run_until(sec(5));
+  EXPECT_EQ(match(engine, host, parse_publication("x = 10")).size(), 1u);
+  EXPECT_EQ(engine.costs().cache_misses, 1u);
+  EXPECT_EQ(engine.costs().cache_hits, 1u);
+  // Any registry change ends the window: the next probe re-materialises.
+  host.set_variable("clees_other_w", 1.0);
+  EXPECT_EQ(match(engine, host, parse_publication("x = 10")).size(), 1u);
+  EXPECT_EQ(engine.costs().cache_misses, 2u);
+}
+
 }  // namespace
 }  // namespace evps

@@ -171,6 +171,24 @@ TEST_F(LeesTest, FilterFindsPartsAfterEarlierRemoval) {
   EXPECT_EQ(match(engine, host, parse_publication("x = 20.5")).size(), 1u);
 }
 
+TEST_F(LeesTest, IdenticalFullyEvolvingSubscriptionsShareOnePart) {
+  engine.add(make_sub(1, "x >= t; x <= 5 + t"), NodeId{7}, host);
+  engine.add(make_sub(2, "x >= t; x <= 5 + t"), NodeId{7}, host);
+  EXPECT_EQ(engine.storage_size(), 1u);
+  EXPECT_EQ(engine.deduped_installs(), 1u);
+  // Differs only in its epoch, so in its `t` origin: no sharing.
+  engine.add(make_sub(3, "x >= t; x <= 5 + t", sec(1)), NodeId{7}, host);
+  EXPECT_EQ(engine.storage_size(), 2u);
+  EXPECT_EQ(engine.deduped_installs(), 1u);
+  // Removing the canonical member reinstalls the survivor, which alone
+  // matches x = 5 at time 0 (window [0, 5]; sub 3's is [-1, 4]).
+  EXPECT_TRUE(engine.remove(SubscriptionId{1}, host));
+  EXPECT_TRUE(engine.remove(SubscriptionId{3}, host));
+  EXPECT_EQ(engine.storage_size(), 1u);
+  EXPECT_EQ(engine.deduped_installs(), 0u);
+  EXPECT_EQ(match(engine, host, parse_publication("x = 5")), std::vector<NodeId>{NodeId{7}});
+}
+
 TEST_F(LeesTest, DiscreteVariableReadAtPublicationTime) {
   host.set_variable("v", 1.0);
   engine.add(make_sub(1, "x <= 10 * v"), NodeId{1}, host);

@@ -154,9 +154,9 @@ TEST(ProgramVerifier, EveryCompiledProgramVerifies) {
 }
 
 TEST(ProgramVerifier, EnginesInstallVerifiedPrograms) {
-  // The install gates in LazyStorage and VES run verify_or_throw on every
-  // compiled evolving predicate; well-formed subscriptions must sail through
-  // every engine kind and still match.
+  // Every evolving engine installs through compile_evolving, which runs
+  // verify_or_throw on every compiled evolving predicate; well-formed
+  // subscriptions must sail through every engine kind and still match.
   for (const EngineKind kind :
        {EngineKind::kVes, EngineKind::kLees, EngineKind::kClees, EngineKind::kHybrid}) {
     Simulator sim;

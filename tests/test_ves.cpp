@@ -83,6 +83,39 @@ TEST_F(VesTest, DiscreteVariableParkedUntilChange) {
   EXPECT_EQ(match(engine, host, parse_publication("x = 0.5")).size(), 1u);
 }
 
+TEST_F(VesTest, ParkedSubscriptionWakesOnlyForAVariableItReads) {
+  host.set_variable("v", 1.0);
+  host.set_variable("w", 1.0);
+  engine.add(make_sub(1, "[mei=1] x <= 10 * v"), NodeId{1}, host);
+  sim.run_until(sec(2));
+  ASSERT_EQ(engine.ready_count(), 1u);
+  const auto evolutions_before = engine.costs().evolutions;
+
+  host.set_variable("w", 5.0);  // not read by the subscription: stays parked
+  EXPECT_EQ(engine.ready_count(), 1u);
+  EXPECT_EQ(engine.costs().evolutions, evolutions_before);
+
+  host.set_variable("v", 0.1);
+  EXPECT_EQ(engine.ready_count(), 0u);
+  EXPECT_EQ(engine.costs().evolutions, evolutions_before + 1);
+  EXPECT_TRUE(match(engine, host, parse_publication("x = 5")).empty());
+}
+
+TEST_F(VesTest, UnsetVariableVersionNeverMatchesUntilFirstSet) {
+  // Client hop over a variable the broker has not seen: the version is the
+  // never-matching `x < NaN`, and it parks, since nothing changed.
+  engine.add(make_sub(1, "[mei=1] x <= 10 * ves_unset_u"), NodeId{1}, host);
+  EXPECT_TRUE(match(engine, host, parse_publication("x = -1000")).empty());
+  sim.run_until(sec(2));
+  EXPECT_EQ(engine.ready_count(), 1u);
+  EXPECT_TRUE(match(engine, host, parse_publication("x = -1000")).empty());
+
+  host.set_variable("ves_unset_u", 1.0);  // the first set evolves it
+  EXPECT_EQ(engine.ready_count(), 0u);
+  EXPECT_EQ(match(engine, host, parse_publication("x = 5")).size(), 1u);
+  EXPECT_TRUE(match(engine, host, parse_publication("x = 11")).empty());
+}
+
 TEST_F(VesTest, VariableChangeBeforeMeiWaitsForDueTime) {
   host.set_variable("v", 1.0);
   engine.add(make_sub(1, "[mei=2] x <= 10 * v"), NodeId{1}, host);

@@ -229,7 +229,8 @@ int main(int argc, char** argv) {
         << "  --routing=MODE           flooding|advertisement, hft only (default flooding)\n"
         << "  --shards=N               matcher shards per broker (default 0 = single)\n"
         << "  --link-batch=N           per-link batch size (default 1)\n"
-        << "  --scale=F                population scale factor, > 0 (default 1.0)\n"
+        << "  --scale=F                population scale factor, > 0, scaled populations\n"
+        << "                           at most 1e6 (default 1.0)\n"
         << "  --eps=F                  latency sketch rank error, in (0, 0.5) (default 0.005)\n"
         << "  --out=PATH               JSON results file (default BENCH_sweep.json)\n"
         << "  --selfcheck              re-run replica 0, require bit-identical metrics\n"
