@@ -1,16 +1,18 @@
 // Subscribe-time static analysis of subscriptions.
 //
-// Combines the ExprProgram verifier (analysis/verifier.hpp) and the interval
-// domain (analysis/interval.hpp) into per-subscription verdicts the broker
-// acts on before a subscription reaches an engine:
+// Reads a subscription's summary (analysis/summary.hpp: the verified
+// programs, interval envelopes, ValueSet shapes and octagon built once per
+// subscribe) into per-subscription verdicts the broker acts on before a
+// subscription reaches an engine:
 //
 //   kMalformed      a compiled predicate program fails verification — never
 //                   installable (would hit unchecked stack accesses).
 //   kUnsatisfiable  no publication can ever match, for any reachable
-//                   evolution-variable values — installing it only burns
-//                   matcher cycles on every publication.
-//   kAdUncovered    satisfiable in principle, but provably disjoint from
-//                   every known advertisement — under advertisement routing
+//                   evolution-variable values (some attribute's outer
+//                   ValueSet is empty) — installing it only burns matcher
+//                   cycles on every publication.
+//   kAdUncovered    satisfiable in principle, but its outer shape overlaps
+//                   no known advertisement's — under advertisement routing
 //                   no covered publication can reach it.
 //   kRelUnsatisfiable  satisfiable attribute-by-attribute, but the octagon
 //                   domain (analysis/relational.hpp) proves the conjunction
@@ -37,8 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/interval.hpp"
-#include "analysis/verifier.hpp"
+#include "analysis/summary.hpp"
 #include "common/sim_time.hpp"
 #include "expr/variable_registry.hpp"
 #include "message/advertisement.hpp"
@@ -73,50 +74,22 @@ enum class Verdict : std::uint8_t {
   return 0;
 }
 
-/// VarBounds over a registry's declared ranges: `t` maps to [0, +inf)
-/// (elapsed time since subscription epoch is never negative), declared
-/// variables to their range, everything else to unknown (any double or NaN).
-class RegistryVarBounds final : public VarBounds {
- public:
-  explicit RegistryVarBounds(const VariableRegistry& registry) noexcept : registry_(&registry) {}
-  [[nodiscard]] Interval bounds(VarId var) const override;
-
- private:
-  const VariableRegistry* registry_;
-};
-
-/// An evolving bound's interval over the declared ranges and, when the fold
-/// rule holds, the one value it always evaluates to.
-struct BoundFold {
-  Interval interval = Interval::top();
-  std::optional<double> value;
-};
-
 /// The fold rule, shared by the kConstant verdict and CLEES's never-expiring
-/// versions. The bound `fun` of a subscription installed at `epoch` folds iff
-/// its interval over the declared ranges (RegistryVarBounds) is one finite
-/// value and every variable it reads, other than `t`, is set by `epoch`. A
-/// value in effect at the epoch stays in effect forever after, so lazy
-/// evaluation never fails closed and always yields that value, bit for bit
-/// (interval.hpp's point-exactness contract). Non-finite values stay lazy:
-/// they do not round-trip through the codec as static Values.
-[[nodiscard]] BoundFold fold_bound(const ExprProgram& fun, const VariableRegistry& registry,
-                                   SimTime epoch);
-
-struct PredicateAnalysis {
-  bool evolving = false;
-  /// Bound-value interval (evolving predicates only; top for static).
-  Interval interval = Interval::top();
-  /// References the elapsed-time variable `t`.
-  bool time_dependent = false;
-};
+/// versions. The bound `fun` of a subscription installed at `epoch`, whose
+/// interval over the declared ranges (RegistryVarBounds) is `envelope`,
+/// folds iff that interval is one finite value and every variable `fun`
+/// reads, other than `t`, is set by `epoch`. A value in effect at the epoch
+/// stays in effect forever after, so lazy evaluation never fails closed and
+/// always yields that value, bit for bit (interval.hpp's point-exactness
+/// contract); the fold is that value. Non-finite values stay lazy: they do
+/// not round-trip through the codec as static Values.
+[[nodiscard]] std::optional<double> fold_bound(const ExprProgram& fun, const Interval& envelope,
+                                               const VariableRegistry& registry, SimTime epoch);
 
 struct SubscriptionAnalysis {
   Verdict verdict = Verdict::kOk;
   /// Human-readable explanation for any non-kOk verdict.
   std::string diagnostic;
-  /// Parallel to Subscription::predicates().
-  std::vector<PredicateAnalysis> predicates;
   /// Any evolving predicate references `t` (bounds drift with wall time even
   /// when no discrete variable changes).
   bool time_dependent = false;
@@ -128,9 +101,17 @@ struct SubscriptionAnalysis {
   std::optional<Subscription> folded;
 };
 
-/// Analyze `sub` against declared variable ranges in `registry`. When `ads`
-/// is non-empty, also checks advertisement coverage (pass the broker's known
-/// advertisements under advertisement routing; leave empty under flooding).
+/// Judge `sub` from its summary (built by summarize(sub, registry)). When
+/// `ads` is non-empty, also checks advertisement coverage against these
+/// advertisement shapes (static_shape of each advertisement's predicates:
+/// pass the broker's known advertisements under advertisement routing;
+/// leave empty under flooding).
+[[nodiscard]] SubscriptionAnalysis analyze_subscription(
+    const Subscription& sub, const SubscriptionSummary& summary, const VariableRegistry& registry,
+    const std::vector<const SubscriptionShape*>& ads);
+
+/// Summarize `sub` against declared variable ranges in `registry` and judge
+/// it, with advertisement coverage against `ads` (see above).
 [[nodiscard]] SubscriptionAnalysis analyze_subscription(
     const Subscription& sub, const VariableRegistry& registry,
     const std::vector<const Advertisement*>& ads = {});

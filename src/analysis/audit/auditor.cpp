@@ -10,7 +10,7 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "analysis/covering.hpp"
+#include "analysis/summary.hpp"
 
 namespace evps::audit {
 
@@ -581,7 +581,10 @@ class Audit {
           std::find(b.client_neighbors.begin(), b.client_neighbors.end(), a.from) !=
           b.client_neighbors.end();
       if (!origin) continue;
-      if (!a.adv || !inst.sub || a.adv->intersects(*inst.sub)) return true;
+      if (!a.adv || !inst.sub ||
+          overlaps(static_shape(a.adv->predicates()), static_shape(inst.sub->predicates()))) {
+        return true;
+      }
     }
     return false;
   }

@@ -2,191 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
-#include "analysis/analyzer.hpp"
-#include "analysis/relational.hpp"
-#include "analysis/verifier.hpp"
-#include "expr/program.hpp"
+#include "analysis/summary.hpp"
 
 namespace evps {
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Largest magnitude at which every int64 converts to double exactly AND no
-/// two distinct int64s collide on the same double (2^53). Beyond it, int/int
-/// comparisons (exact) and double-space comparisons can disagree, so the
-/// ValueSet domain stops being faithful.
-constexpr double kMaxExactInt = 9007199254740992.0;
-
-enum class Approx : std::uint8_t { kOuter, kInner };
-
-ValueSet numeric_only(double lo, bool lo_open, double hi, bool hi_open) {
-  ValueSet s;
-  s.lo = lo;
-  s.lo_open = lo_open;
-  s.hi = hi;
-  s.hi_open = hi_open;
-  s.nan = false;
-  s.strings = ValueSet::Strings::kNone;
-  return s;
-}
-
-/// Exact satisfying set of a static predicate, except for the cases the
-/// domain cannot express: lexicographic string comparisons and integer
-/// constants beyond 2^53 degrade per `approx` (outer widens, inner empties).
-ValueSet static_pred_set(RelOp op, const Value& c, Approx approx) {
-  if (c.is_string()) {
-    switch (op) {
-      case RelOp::kEq: {
-        ValueSet s = ValueSet::nothing();
-        s.strings = ValueSet::Strings::kOne;
-        s.str = c.as_string();
-        return s;
-      }
-      case RelOp::kNe: {
-        // Numerics and NaN are incomparable with a string: != holds.
-        ValueSet s = ValueSet::universe();
-        s.excluded_strs.push_back(c.as_string());
-        return s;
-      }
-      default: {
-        // Lexicographic range over strings: satisfied only by strings.
-        if (approx == Approx::kInner) return ValueSet::nothing();
-        ValueSet s = ValueSet::nothing();
-        s.strings = ValueSet::Strings::kAll;
-        return s;
-      }
-    }
-  }
-  const double d = *c.numeric();
-  if (std::isnan(d)) {
-    // NaN constant: incomparable with everything.
-    return op == RelOp::kNe ? ValueSet::universe() : ValueSet::nothing();
-  }
-  if (c.is_int() && !(std::abs(d) <= kMaxExactInt)) {
-    if (approx == Approx::kInner) return ValueSet::nothing();
-    const double down = std::nextafter(d, -kInf);
-    const double up = std::nextafter(d, kInf);
-    switch (op) {
-      case RelOp::kLt:
-      case RelOp::kLe: return numeric_only(-kInf, false, up, false);
-      case RelOp::kGt:
-      case RelOp::kGe: return numeric_only(down, false, kInf, false);
-      case RelOp::kEq: return numeric_only(down, false, up, false);
-      case RelOp::kNe: return ValueSet::universe();
-    }
-  }
-  switch (op) {
-    case RelOp::kLt: return numeric_only(-kInf, false, d, /*hi_open=*/true);
-    case RelOp::kLe: return numeric_only(-kInf, false, d, /*hi_open=*/false);
-    case RelOp::kGt: return numeric_only(d, /*lo_open=*/true, kInf, false);
-    case RelOp::kGe: return numeric_only(d, /*lo_open=*/false, kInf, false);
-    case RelOp::kEq: return numeric_only(d, false, d, false);
-    case RelOp::kNe: {
-      ValueSet s = ValueSet::universe();
-      s.excluded_nums.push_back(d);
-      return s;
-    }
-  }
-  return ValueSet::universe();
-}
-
-/// Values that can satisfy `pub OP f` for SOME bound f in the envelope
-/// (over-approximation; a bound that evaluates to NaN or hits an unbound
-/// variable satisfies nothing except !=, which the formulas absorb).
-ValueSet evolving_outer_set(RelOp op, const Interval& iv) {
-  switch (op) {
-    case RelOp::kLt: return numeric_only(-kInf, false, iv.hi, /*hi_open=*/true);
-    case RelOp::kLe: return numeric_only(-kInf, false, iv.hi, /*hi_open=*/false);
-    case RelOp::kGt: return numeric_only(iv.lo, /*lo_open=*/true, kInf, false);
-    case RelOp::kGe: return numeric_only(iv.lo, /*lo_open=*/false, kInf, false);
-    case RelOp::kEq: return numeric_only(iv.lo, false, iv.hi, false);
-    case RelOp::kNe: {
-      // Incomparables (strings, NaN publication values, NaN bounds) all
-      // satisfy !=; a numeric value fails only against itself, which is
-      // certain only when the bound is a provable single point.
-      ValueSet s = ValueSet::universe();
-      if (iv.is_point()) s.excluded_nums.push_back(iv.lo);
-      return s;
-    }
-  }
-  return ValueSet::universe();
-}
-
-/// Values GUARANTEED to satisfy `pub OP f` for EVERY bound f in the envelope
-/// (under-approximation). A maybe-NaN bound can fail every comparison except
-/// !=, so it empties all other operators.
-ValueSet evolving_inner_set(RelOp op, const Interval& iv) {
-  if (op == RelOp::kNe) {
-    if (iv.numeric_empty()) return ValueSet::universe();  // always-NaN bound: != always holds
-    ValueSet s = ValueSet::universe();
-    if (iv.is_point()) {
-      s.excluded_nums.push_back(iv.lo);
-    } else {
-      // Cannot carve [lo, hi] out of the numeric line: keep only the
-      // incomparables, which satisfy != against any bound.
-      s.lo = 1.0;
-      s.hi = 0.0;
-    }
-    return s;
-  }
-  if (iv.maybe_nan) return ValueSet::nothing();
-  switch (op) {
-    case RelOp::kLt: return numeric_only(-kInf, false, iv.lo, /*hi_open=*/true);
-    case RelOp::kLe: return numeric_only(-kInf, false, iv.lo, /*hi_open=*/false);
-    case RelOp::kGt: return numeric_only(iv.hi, /*lo_open=*/true, kInf, false);
-    case RelOp::kGe: return numeric_only(iv.hi, /*lo_open=*/false, kInf, false);
-    case RelOp::kEq:
-      return iv.is_point() ? numeric_only(iv.lo, false, iv.lo, false) : ValueSet::nothing();
-    case RelOp::kNe: break;  // handled above
-  }
-  return ValueSet::nothing();
-}
-
-ValueSet pred_set(const Predicate& pred, const VariableRegistry& registry, Approx approx) {
-  if (!pred.is_evolving()) return static_pred_set(pred.op(), pred.constant(), approx);
-  ValueSet set = approx == Approx::kOuter ? ValueSet::universe() : ValueSet::nothing();
-  try {
-    const ExprProgram prog = ExprProgram::compile(*pred.fun());
-    if (verify_program(prog).ok) {
-      bool guaranteed = true;
-      if (approx == Approx::kInner) {
-        // The coverer must never fail closed: every referenced variable
-        // (other than `t`) must already be set — registry histories are
-        // append-only, so it then resolves at every later instant.
-        for (const VarId var : prog.variables()) {
-          if (var != elapsed_time_var_id() && !registry.get(var).has_value()) {
-            guaranteed = false;
-            break;
-          }
-        }
-      }
-      if (guaranteed) {
-        const RegistryVarBounds bounds(registry);
-        const Interval iv = eval_interval(prog, bounds);
-        set = approx == Approx::kOuter ? evolving_outer_set(pred.op(), iv)
-                                       : evolving_inner_set(pred.op(), iv);
-      }
-    }
-  } catch (const std::exception&) {
-    // Uncompilable/unverifiable function: keep the degraded default.
-  }
-  return set;
-}
-
-SubscriptionShape build_shape(const Subscription& sub, const VariableRegistry& registry,
-                              Approx approx) {
-  SubscriptionShape shape;
-  for (const Predicate& pred : sub.predicates()) {
-    ValueSet set = pred_set(pred, registry, approx);
-    const auto [it, inserted] = shape.attrs.try_emplace(pred.attr_id(), std::move(set));
-    if (!inserted) it->second.intersect(set);
-  }
-  return shape;
-}
-
-}  // namespace
 
 std::string_view to_string(CoverVerdict v) noexcept {
   switch (v) {
@@ -194,6 +13,10 @@ std::string_view to_string(CoverVerdict v) noexcept {
     case CoverVerdict::kUnknown: return "unknown";
   }
   return "?";
+}
+
+bool compares_as_double(const Value& c) noexcept {
+  return !c.is_int() || std::abs(*c.numeric()) < 0x1p53;
 }
 
 bool ValueSet::admits_num(double v) const noexcept {
@@ -290,16 +113,15 @@ bool subset_of(const ValueSet& outer, const ValueSet& inner) {
   return true;
 }
 
-SubscriptionShape outer_shape(const Subscription& sub, const VariableRegistry& registry) {
-  return build_shape(sub, registry, Approx::kOuter);
-}
-
-ValueSet outer_pred_set(const Predicate& pred, const VariableRegistry& registry) {
-  return pred_set(pred, registry, Approx::kOuter);
-}
-
-SubscriptionShape inner_shape(const Subscription& sub, const VariableRegistry& registry) {
-  return build_shape(sub, registry, Approx::kInner);
+bool overlaps(const SubscriptionShape& a, const SubscriptionShape& b) {
+  for (const auto& [attr, set] : a.attrs) {
+    const auto it = b.attrs.find(attr);
+    if (it == b.attrs.end()) continue;
+    ValueSet both = set;
+    both.intersect(it->second);
+    if (both.empty()) return false;
+  }
+  return true;
 }
 
 CoverVerdict covers(const SubscriptionShape& a_inner, const SubscriptionShape& b_outer) {
@@ -315,17 +137,11 @@ CoverVerdict covers(const SubscriptionShape& a_inner, const SubscriptionShape& b
 
 CoverVerdict covers(const Subscription& a, const Subscription& b,
                     const VariableRegistry& registry, bool relational) {
-  const SubscriptionShape a_inner = inner_shape(a, registry);
-  const SubscriptionShape b_outer = outer_shape(b, registry);
-  const CoverVerdict v = covers(a_inner, b_outer);
+  const SubscriptionSummary as = summarize(a, registry);
+  const SubscriptionSummary bs = summarize(b, registry);
+  const CoverVerdict v = covers(as.inner, bs.outer);
   if (v == CoverVerdict::kCovers || !relational) return v;
-  return covers_relational(a_inner, relational_shape(a, registry), b_outer,
-                           relational_shape(b, registry));
-}
-
-CoverVerdict covers(const Subscription& a, const Subscription& b,
-                    const VariableRegistry& registry) {
-  return covers(a, b, registry, /*relational=*/true);
+  return covers_relational(as.inner, as.rel, bs.outer, bs.rel);
 }
 
 }  // namespace evps

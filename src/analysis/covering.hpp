@@ -12,7 +12,8 @@
 // isolation (analysis/analyzer.hpp), it compares the publication sets of two
 // subscriptions. Each subscription is summarised per attribute as a
 // ValueSet — the set of publication values admitted on that attribute — in
-// two dual flavours built from the PR 3 interval machinery:
+// two dual flavours, both built by the subscribe-time summary
+// (analysis/summary.hpp) from each predicate's interval envelope:
 //
 //   * outer shape  — an OVER-approximation: every value some reachable
 //     variable assignment lets the predicate conjunction accept is in the
@@ -38,14 +39,18 @@
 // (other than `t`) to be set in the registry at analysis time — registry
 // histories are append-only, so a variable set once resolves at every later
 // evaluation instant.
+//
+// The same domain answers the advertisement question (overlaps): can one
+// publication value satisfy two shapes at once? The analyzer asks it of a
+// subscription's outer shape, routing of its static predicates alone.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "analysis/interval.hpp"
 #include "expr/variable_registry.hpp"
 #include "message/subscription.hpp"
 
@@ -58,9 +63,18 @@ enum class CoverVerdict : std::uint8_t { kCovers, kUnknown };
 
 [[nodiscard]] std::string_view to_string(CoverVerdict v) noexcept;
 
+/// The one exact-int guard of the ValueSet and octagon domains: does
+/// reasoning over the double a numeric constant converts to reproduce
+/// Value::compare? Doubles always do. An int does only below 2^53 in
+/// magnitude: from 2^53 on, distinct int64s round to one double (2^53 + 1
+/// rounds to 2^53), and int/int comparisons are exact, so a publication's
+/// int and the constant can compare differently than their doubles.
+[[nodiscard]] bool compares_as_double(const Value& c) noexcept;
+
 /// The set of publication Values admitted on one attribute, in the
 /// content-based comparison model: numeric values (int and double compared
-/// in double space), the incomparable NaN, and strings. Supports exactly the
+/// in double space; constants failing compares_as_double widen or empty
+/// their set), the incomparable NaN, and strings. Supports exactly the
 /// shapes predicate conjunctions produce: one numeric interval with open/
 /// closed endpoints, finitely many excluded numeric points (from !=), and
 /// none/one/all strings with finitely many exclusions.
@@ -115,42 +129,24 @@ struct SubscriptionShape {
   std::map<AttrId, ValueSet> attrs;
 };
 
-/// OVER-approximate shape: for every reachable variable assignment, every
-/// matching publication's value on each constrained attribute lies in the
-/// attribute's set. Never fails; inexpressible predicates widen to the
-/// universe of values.
-[[nodiscard]] SubscriptionShape outer_shape(const Subscription& sub,
-                                            const VariableRegistry& registry);
-
-/// OVER-approximate satisfying set of one predicate in isolation;
-/// outer_shape is the per-attribute intersection of these. Exposed for the
-/// relational analysis (analysis/relational.hpp), which needs per-predicate
-/// sets to exclude one predicate at a time.
-[[nodiscard]] ValueSet outer_pred_set(const Predicate& pred, const VariableRegistry& registry);
-
-/// UNDER-approximate shape: a publication whose value on every constrained
-/// attribute lies in the attribute's set matches, for every reachable
-/// assignment and future instant. Inexpressible or non-guaranteeable
-/// predicates (unverifiable programs, unset variables, ambiguous envelopes)
-/// shrink the set, possibly to empty.
-[[nodiscard]] SubscriptionShape inner_shape(const Subscription& sub,
-                                            const VariableRegistry& registry);
+/// Can one publication satisfy both shapes? False only when some attribute
+/// both constrain admits no common value (up to the domain's inexact
+/// exclusions, which count as overlap): never a false negative.
+[[nodiscard]] bool overlaps(const SubscriptionShape& a, const SubscriptionShape& b);
 
 /// Decide covering from precomputed shapes (the CoveringIndex path: shapes
 /// are built once per subscription and reused across pair checks).
-/// `a_inner` must come from inner_shape(A), `b_outer` from outer_shape(B).
+/// `a_inner` is A's summary inner shape, `b_outer` B's outer shape.
 [[nodiscard]] CoverVerdict covers(const SubscriptionShape& a_inner,
                                   const SubscriptionShape& b_outer);
 
 /// Convenience: does `a` cover `b` under `registry`'s declared ranges and
-/// currently-set variables? Runs the per-attribute check and, when
-/// `relational` is true (the default — the auditor's re-proofs must be at
-/// least as strong as the index's), refines kUnknown through the octagon
-/// domain (analysis/relational.hpp).
+/// currently-set variables? Summarizes both, runs the per-attribute check
+/// and, when `relational` is true (the default — the auditor's re-proofs
+/// must be at least as strong as the index's), refines kUnknown through the
+/// octagon domain (analysis/relational.hpp).
 [[nodiscard]] CoverVerdict covers(const Subscription& a, const Subscription& b,
-                                  const VariableRegistry& registry, bool relational);
-[[nodiscard]] CoverVerdict covers(const Subscription& a, const Subscription& b,
-                                  const VariableRegistry& registry);
+                                  const VariableRegistry& registry, bool relational = true);
 
 /// Counters for the pair analysis (surfaced per broker via
 /// metrics/covering_counters.hpp).

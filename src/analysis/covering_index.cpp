@@ -74,25 +74,24 @@ void CoveringIndex::bucket_erase(SubscriptionId id, const Entry& e) {
   }
 }
 
-CoveringIndex::AddResult CoveringIndex::add(const Subscription& sub,
-                                            const VariableRegistry& registry) {
-  if (contains(sub.id())) {
+CoveringIndex::AddResult CoveringIndex::add(SubscriptionId id, SubscriptionSummary summary) {
+  if (contains(id)) {
     // A debug-only assert is not enough: a release-build duplicate would
     // rewire other entries' parent/children links before the final emplace
     // silently no-ops, corrupting the forest.
     throw std::invalid_argument("CoveringIndex::add: duplicate subscription id");
   }
   Entry e;
-  e.inner = inner_shape(sub, registry);
-  e.outer = outer_shape(sub, registry);
-  if (relational_) e.rel = relational_shape(sub, registry);
+  e.inner = std::move(summary.inner);
+  e.outer = std::move(summary.outer);
+  e.rel = std::move(summary.rel);
 
   AddResult result;
   result.parent = find_coverer(e);
   if (result.parent.valid()) {
     e.parent = result.parent;
-    entries_.at(result.parent).children.push_back(sub.id());
-    entries_.emplace(sub.id(), std::move(e));
+    entries_.at(result.parent).children.push_back(id);
+    entries_.emplace(id, std::move(e));
     return result;
   }
 
@@ -118,23 +117,25 @@ CoveringIndex::AddResult CoveringIndex::add(const Subscription& sub,
     Entry& root = entries_.at(root_id);
     if (!check_covers(e, root)) continue;
     // Demote: the root and (by transitivity) its whole covering set move
-    // under the new root. Only the former root itself changes routing
-    // status — its children were suppressed before and stay suppressed.
+    // under the new root. The former root's own forwards are retracted by
+    // the broker; its children keep the forwards they have, although the
+    // new root may not reach every direction they skipped under the old
+    // one (ROADMAP item 1's open direction gap).
     bucket_erase(root_id, root);
     --root_count_;
     for (const SubscriptionId child : root.children) {
-      entries_.at(child).parent = sub.id();
+      entries_.at(child).parent = id;
       e.children.push_back(child);
     }
     root.children.clear();
-    root.parent = sub.id();
+    root.parent = id;
     e.children.push_back(root_id);
     result.demoted.push_back(root_id);
   }
 
-  bucket_insert(sub.id(), e);
+  bucket_insert(id, e);
   ++root_count_;
-  entries_.emplace(sub.id(), std::move(e));
+  entries_.emplace(id, std::move(e));
   return result;
 }
 

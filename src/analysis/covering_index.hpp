@@ -11,12 +11,17 @@
 //   * Children hang off roots only (depth <= 1). Covering is transitive, so
 //     when a root C is demoted under a new root A, C's children re-attach to
 //     A directly: A covers C covers D implies A covers D. The re-attachment
-//     is an index-local move — no network traffic, the children were already
-//     suppressed and stay suppressed.
-//   * Shapes are computed once at add() time and never refreshed. This is
-//     sound because everything a kCovers verdict depends on is monotone:
-//     declared variable ranges are fixed at declaration, registry histories
-//     are append-only (a variable set once resolves at every later instant),
+//     is an index-local move with no network traffic. What the index keeps
+//     is the covering relation only: every child's publications are a
+//     subset of its parent's. It holds nothing about directions — a child
+//     skipped exactly the directions its parent *at subscribe time* reached,
+//     and a new parent may not reach them all. Re-checking that reach on
+//     every parent change is ROADMAP item 1's open direction gap.
+//   * Shapes come from the subscribe-time summary (analysis/summary.hpp)
+//     handed to add() and are never refreshed. This is sound because
+//     everything a kCovers verdict depends on is monotone: declared
+//     variable ranges are fixed at declaration, registry histories are
+//     append-only (a variable set once resolves at every later instant),
 //     and envelopes already quantify over all t >= 0, so epoch offsets
 //     between the two subscriptions cannot invalidate the verdict.
 //   * Candidate filtering is by attribute: a coverer's attrs are a subset of
@@ -35,8 +40,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/covering.hpp"
-#include "analysis/relational.hpp"
+#include "analysis/summary.hpp"
 
 namespace evps {
 
@@ -44,8 +48,7 @@ class CoveringIndex {
  public:
   /// `relational` enables the octagon refinement pass
   /// (analysis/relational.hpp) on pairs the per-attribute check leaves
-  /// kUnknown. Relational shapes are computed once at add() time alongside
-  /// the ValueSet shapes, under the same monotonicity argument.
+  /// kUnknown, over the relational shape each summary carries.
   explicit CoveringIndex(bool relational = true) : relational_(relational) {}
 
   struct AddResult {
@@ -64,10 +67,12 @@ class CoveringIndex {
     std::vector<SubscriptionId> promoted;
   };
 
-  /// Analyze `sub` against the current roots and insert it. Throws
-  /// std::invalid_argument when `sub.id()` is already present (a duplicate
-  /// would corrupt the forest's parent/children links).
-  AddResult add(const Subscription& sub, const VariableRegistry& registry);
+  /// Check the subscription `id`, summarized as `summary`
+  /// (summarize(sub, registry)), against the current roots and insert it;
+  /// the index keeps the summary's shapes. Throws std::invalid_argument when
+  /// `id` is already present (a duplicate would corrupt the forest's
+  /// parent/children links).
+  AddResult add(SubscriptionId id, SubscriptionSummary summary);
 
   /// Remove a subscription; no-op result when the id is unknown or a child.
   RemoveResult remove(SubscriptionId id);
@@ -96,7 +101,7 @@ class CoveringIndex {
   struct Entry {
     SubscriptionShape inner;
     SubscriptionShape outer;
-    RelationalShape rel;  // populated only when relational_ is on
+    RelationalShape rel;
     SubscriptionId parent = SubscriptionId::invalid();  // invalid => root
     std::vector<SubscriptionId> children;               // roots only
   };

@@ -331,6 +331,14 @@ Interval iv_max2(const Interval& a, const Interval& b) noexcept {
   return r;
 }
 
+Interval RegistryVarBounds::bounds(VarId var) const {
+  if (var == elapsed_time_var_id()) return Interval::range(0.0, kInf);
+  if (const auto range = registry_->declared_range(var)) {
+    return Interval::range(range->first, range->second);
+  }
+  return Interval::unknown();
+}
+
 Interval eval_interval(const ExprProgram& prog, const VarBounds& vars) {
   using Op = ExprProgram::Op;
   if (prog.empty()) throw std::logic_error("abstract evaluation of an empty ExprProgram");

@@ -32,6 +32,7 @@
 
 #include "common/variable_table.hpp"
 #include "expr/program.hpp"
+#include "expr/variable_registry.hpp"
 
 namespace evps {
 
@@ -83,6 +84,18 @@ class VarBounds {
  public:
   virtual ~VarBounds() = default;
   [[nodiscard]] virtual Interval bounds(VarId var) const = 0;
+};
+
+/// VarBounds over a registry's declared ranges: `t` maps to [0, +inf)
+/// (elapsed time since subscription epoch is never negative), declared
+/// variables to their range, everything else to unknown (any double or NaN).
+class RegistryVarBounds final : public VarBounds {
+ public:
+  explicit RegistryVarBounds(const VariableRegistry& registry) noexcept : registry_(&registry) {}
+  [[nodiscard]] Interval bounds(VarId var) const override;
+
+ private:
+  const VariableRegistry* registry_;
 };
 
 // Abstract transfer functions, one per ExprProgram opcode. All are sound

@@ -6,17 +6,13 @@
 #include <optional>
 #include <stdexcept>
 
-#include "analysis/analyzer.hpp"
-#include "analysis/verifier.hpp"
+#include "analysis/summary.hpp"
 #include "common/variable_table.hpp"
 
 namespace evps {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Same faithfulness horizon as the ValueSet domain (covering.cpp): beyond
-/// 2^53 int/double comparisons can disagree with double-space reasoning.
-constexpr double kMaxExactInt = 9007199254740992.0;
 
 // ---------------------------------------------------------------------------
 // Real-arithmetic interval helpers.
@@ -318,13 +314,11 @@ RelBounds eval_relational(const ExprProgram& prog, const VarBounds& vars,
 // Octagon construction (subscription as coveree B).
 // ---------------------------------------------------------------------------
 
-namespace {
-
-[[nodiscard]] bool var_safe(VarId v, const VariableRegistry& registry) {
-  // Safe = provably a real number under every reachable assignment: `t`
-  // (elapsed seconds, >= 0) or a variable with a declared finite range.
+bool safe_variable(VarId v, const VariableRegistry& registry) {
   return v == elapsed_time_var_id() || registry.declared_range(v).has_value();
 }
+
+namespace {
 
 struct OctSystem {
   Octagon oct{0};
@@ -335,28 +329,19 @@ struct OctSystem {
 /// Conjoin everything a matching (publication, assignment) pair must
 /// satisfy, over attributes the subscription forces numeric, skipping
 /// predicate `skip` (-1: none; the redundancy check drops one at a time).
-OctSystem build_octagon(const Subscription& sub, const VariableRegistry& registry, int skip) {
+/// Reads only the stored facts: their outer sets, programs and relational
+/// bounds.
+OctSystem build_octagon(const Subscription& sub, const std::vector<PredicateFacts>& facts,
+                        const VariableRegistry& registry, int skip) {
   const auto& preds = sub.predicates();
+  const auto skipped = [skip](std::size_t i) { return static_cast<int>(i) == skip; };
 
   // Per-attribute outer ValueSets, excluding the skipped predicate.
   std::map<AttrId, ValueSet> outer;
   for (std::size_t i = 0; i < preds.size(); ++i) {
-    if (static_cast<int>(i) == skip) continue;
-    ValueSet set = outer_pred_set(preds[i], registry);
-    const auto [it, inserted] = outer.try_emplace(preds[i].attr_id(), std::move(set));
-    if (!inserted) it->second.intersect(set);
-  }
-
-  // Compile + verify the surviving evolving predicates once.
-  std::vector<std::pair<std::size_t, ExprProgram>> progs;
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    if (static_cast<int>(i) == skip || !preds[i].is_evolving()) continue;
-    try {
-      ExprProgram prog = ExprProgram::compile(*preds[i].fun());
-      if (verify_program(prog).ok) progs.emplace_back(i, std::move(prog));
-    } catch (const std::exception&) {
-      // Uncompilable operand: contributes no relational constraints.
-    }
+    if (skipped(i)) continue;
+    const auto [it, inserted] = outer.try_emplace(preds[i].attr_id(), facts[i].outer);
+    if (!inserted) it->second.intersect(facts[i].outer);
   }
 
   OctSystem sys;
@@ -366,10 +351,10 @@ OctSystem build_octagon(const Subscription& sub, const VariableRegistry& registr
     }
   }
   const std::size_t attr_count = sys.attr_node.size();
-  for (const auto& [idx, prog] : progs) {
-    (void)idx;
-    for (const VarId v : prog.variables()) {
-      if (var_safe(v, registry) && sys.var_node.find(v) == sys.var_node.end()) {
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    if (skipped(i)) continue;
+    for (const VarId v : facts[i].program.variables()) {
+      if (safe_variable(v, registry) && sys.var_node.find(v) == sys.var_node.end()) {
         sys.var_node.emplace(v, attr_count + sys.var_node.size());
       }
     }
@@ -390,20 +375,14 @@ OctSystem build_octagon(const Subscription& sub, const VariableRegistry& registr
     }
   }
 
-  const RegistryVarBounds bounds(registry);
-  std::vector<VarId> rel_vars;
-  rel_vars.reserve(sys.var_node.size());
-  for (const auto& [v, node] : sys.var_node) {
-    (void)node;
-    rel_vars.push_back(v);
-  }
-  for (const auto& [idx, prog] : progs) {
-    const Predicate& pred = preds[idx];
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    if (skipped(i) || facts[i].program.empty()) continue;
+    const Predicate& pred = preds[i];
     const auto an = sys.attr_node.find(pred.attr_id());
     if (an == sys.attr_node.end()) continue;
     const RelOp op = pred.op();
     if (op == RelOp::kNe) continue;  // != constrains nothing octagonal
-    const RelBounds rb = eval_relational(prog, bounds, rel_vars);
+    const RelBounds& rb = facts[i].rel;
     const bool upper = op == RelOp::kLt || op == RelOp::kLe || op == RelOp::kEq;
     const bool lower = op == RelOp::kGt || op == RelOp::kGe || op == RelOp::kEq;
     // pub OP fl with fl - v in [d.lo, d.hi] (when fl is numeric; a matching
@@ -500,7 +479,7 @@ void emit_static(RelationalShape& out, const Predicate& pred, int p) {
     out.requirements.push_back(std::move(req));
     return;
   }
-  if (c.is_int() && !(std::abs(d) <= kMaxExactInt)) {
+  if (!compares_as_double(c)) {
     // Exact-int comparisons can disagree with double space: fail closed.
     out.requirements.push_back(make_req(attr, p, -1));
     return;
@@ -539,41 +518,28 @@ void emit_static(RelationalShape& out, const Predicate& pred, int p) {
   }
 }
 
-void emit_evolving(RelationalShape& out, const Predicate& pred, int p,
-                   const VariableRegistry& registry) {
+void emit_evolving(RelationalShape& out, const Predicate& pred, const PredicateFacts& facts,
+                   int p) {
   const AttrId attr = pred.attr_id();
   const RelOp op = pred.op();
-  std::optional<ExprProgram> prog;
-  try {
-    ExprProgram compiled = ExprProgram::compile(*pred.fun());
-    if (verify_program(compiled).ok) prog = std::move(compiled);
-  } catch (const std::exception&) {
-  }
-  if (!prog) {
+  const ExprProgram& prog = facts.program;
+  if (prog.empty()) {
     // No program to reason about OR to compare syntactically: fail closed.
     out.requirements.push_back(make_req(attr, p, -1));
     return;
   }
 
-  bool t_free = true;
-  bool vars_set = true;
-  std::vector<VarId> rel_vars;
-  for (const VarId v : prog->variables()) {
-    if (v == elapsed_time_var_id()) t_free = false;
-    if (v != elapsed_time_var_id() && !registry.get(v).has_value()) vars_set = false;
-    if (var_safe(v, registry)) rel_vars.push_back(v);
-  }
-  out.sigs.push_back({attr, op, t_free, p, prog->code()});
+  const bool t_free = !std::ranges::binary_search(prog.variables(), elapsed_time_var_id());
+  out.sigs.push_back({attr, op, t_free, p, prog.code()});
   const int sig_index = static_cast<int>(out.sigs.size()) - 1;
 
-  const RegistryVarBounds bounds(registry);
-  const RelBounds rb = eval_relational(*prog, bounds, rel_vars);
-  // Fail-closed gates mirroring inner_shape: an unset variable makes the
+  const RelBounds& rb = facts.rel;
+  // Fail-closed gates mirroring the inner set: an unset variable makes the
   // predicate fail at evaluation time regardless of any numeric bound, and a
   // maybe-NaN bound can fail every comparison except != (where it *helps*).
   // The syntactic shortcut survives both: the coveree matching via the very
   // same program implies it evaluated to a bindable, comparable value.
-  const bool numeric_ok = vars_set && !rb.value.maybe_nan;
+  const bool numeric_ok = facts.vars_set && !rb.value.maybe_nan;
 
   switch (op) {
     case RelOp::kLt:
@@ -608,7 +574,7 @@ void emit_evolving(RelationalShape& out, const Predicate& pred, int p,
     case RelOp::kNe: {
       RelRequirement req = make_req(attr, p, sig_index);
       req.shortcut_ops = {RelOp::kLt, RelOp::kGt, RelOp::kNe};
-      if (vars_set) {
+      if (facts.vars_set) {
         if (rb.value.numeric_empty()) {
           // The bound is always NaN: != holds for every numeric value.
           req.trivially_satisfied = true;
@@ -626,11 +592,11 @@ void emit_evolving(RelationalShape& out, const Predicate& pred, int p,
 }
 
 void build_requirements(RelationalShape& out, const Subscription& sub,
-                        const VariableRegistry& registry) {
+                        const std::vector<PredicateFacts>& facts) {
   const auto& preds = sub.predicates();
   for (std::size_t p = 0; p < preds.size(); ++p) {
     if (preds[p].is_evolving()) {
-      emit_evolving(out, preds[p], static_cast<int>(p), registry);
+      emit_evolving(out, preds[p], facts[p], static_cast<int>(p));
     } else {
       emit_static(out, preds[p], static_cast<int>(p));
     }
@@ -696,14 +662,16 @@ bool requirement_satisfied(const RelRequirement& req, const std::vector<RelPredS
 
 }  // namespace
 
-RelationalShape relational_shape(const Subscription& sub, const VariableRegistry& registry) {
+RelationalShape relational_shape(const Subscription& sub,
+                                 const std::vector<PredicateFacts>& facts,
+                                 const VariableRegistry& registry) {
   RelationalShape out;
-  OctSystem sys = build_octagon(sub, registry, /*skip=*/-1);
+  OctSystem sys = build_octagon(sub, facts, registry, /*skip=*/-1);
   out.octagon = std::move(sys.oct);
   out.attr_node = std::move(sys.attr_node);
   out.var_node = std::move(sys.var_node);
   out.rel_unsat = out.octagon.unsatisfiable();
-  build_requirements(out, sub, registry);
+  build_requirements(out, sub, facts);
   return out;
 }
 
@@ -737,11 +705,11 @@ CoverVerdict covers_relational(const SubscriptionShape& a_inner, const Relationa
   return CoverVerdict::kCovers;
 }
 
-int find_redundant_predicate(const Subscription& sub, const VariableRegistry& registry) {
+int find_redundant_predicate(const Subscription& sub, const SubscriptionSummary& summary,
+                             const VariableRegistry& registry) {
   const auto& preds = sub.predicates();
   if (preds.size() < 2) return -1;
-  RelationalShape self;
-  build_requirements(self, sub, registry);
+  const RelationalShape& self = summary.rel;
   for (std::size_t p = 0; p < preds.size(); ++p) {
     const int pi = static_cast<int>(p);
     bool possible = true;
@@ -753,7 +721,7 @@ int find_redundant_predicate(const Subscription& sub, const VariableRegistry& re
       }
     }
     if (!possible) continue;
-    OctSystem others = build_octagon(sub, registry, pi);
+    OctSystem others = build_octagon(sub, summary.preds, registry, pi);
     // An unsatisfiable remainder entails everything vacuously; that is the
     // relationally-unsatisfiable verdict's job, not redundancy's.
     if (others.oct.unsatisfiable()) continue;

@@ -60,6 +60,9 @@
 
 namespace evps {
 
+struct PredicateFacts;       // analysis/summary.hpp
+struct SubscriptionSummary;  // analysis/summary.hpp
+
 /// Result of the relational transfer pass over one program: the value
 /// envelope plus certified bounds on value - v (diff) and value + v (sum)
 /// for the tracked variables. Bounds use *real* arithmetic semantics with
@@ -75,6 +78,11 @@ struct RelBounds {
 /// be safe: never NaN under `vars`). The program must pass verify_program.
 [[nodiscard]] RelBounds eval_relational(const ExprProgram& prog, const VarBounds& vars,
                                         const std::vector<VarId>& rel_vars);
+
+/// A variable relations may be tracked against: provably a real number
+/// under every reachable assignment — `t` (elapsed seconds, >= 0) or a
+/// variable with a declared finite range.
+[[nodiscard]] bool safe_variable(VarId v, const VariableRegistry& registry);
 
 /// One sufficient octagon condition: attr_sign*attr + var_sign*var <= c
 /// (unary when var == kInvalidVarId). Entailed by a coverer candidate's
@@ -141,7 +149,10 @@ struct RelationalShape {
   bool rel_unsat = false;
 };
 
+/// `sub`'s relational shape, assembled from its per-predicate facts
+/// (`facts` parallels sub.predicates(); summarize() builds both).
 [[nodiscard]] RelationalShape relational_shape(const Subscription& sub,
+                                               const std::vector<PredicateFacts>& facts,
                                                const VariableRegistry& registry);
 
 /// Refinement pass for a pair the per-attribute check left kUnknown: re-walk
@@ -155,8 +166,11 @@ struct RelationalShape {
 
 /// Index of a predicate provably entailed by the conjunction of the OTHER
 /// predicates (relationally-redundant verdict), or -1. Advisory: the
-/// subscription behaves identically with the predicate removed.
+/// subscription behaves identically with the predicate removed. Each
+/// candidate is checked against a leave-one-out octagon over the summary's
+/// stored facts.
 [[nodiscard]] int find_redundant_predicate(const Subscription& sub,
+                                           const SubscriptionSummary& summary,
                                            const VariableRegistry& registry);
 
 }  // namespace evps

@@ -1,6 +1,7 @@
 #include "broker/broker.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "analysis/analyzer.hpp"
 #include "common/logging.hpp"
@@ -112,13 +113,13 @@ std::vector<NodeId> Broker::subscription_forward_targets(const Subscription& sub
     return targets;
   }
   // Advertisement routing: forward only towards neighbours that are on the
-  // path of an intersecting advertisement.
+  // path of an advertisement the subscription's static predicates overlap.
+  const SubscriptionShape shape = static_shape(sub.predicates());
   std::set<NodeId> chosen;
-  for (const auto& [id, entry] : adverts_) {
-    const auto& [adv, last_hop] = entry;
-    if (last_hop == from || chosen.contains(last_hop)) continue;
-    if (!broker_neighbors_.contains(last_hop)) continue;
-    if (adv->intersects(sub)) chosen.insert(last_hop);
+  for (const auto& [id, ad] : adverts_) {
+    if (ad.from == from || chosen.contains(ad.from)) continue;
+    if (!broker_neighbors_.contains(ad.from)) continue;
+    if (overlaps(ad.shape, shape)) chosen.insert(ad.from);
   }
   targets.assign(chosen.begin(), chosen.end());
   return targets;
@@ -128,7 +129,13 @@ void Broker::handle_subscribe(const SubscribeMsg& msg, NodeId from) {
   ++stats_.subscribes;
   if (!msg.sub) return;
   if (engine_->contains(msg.sub->id())) return;  // duplicate (cycle guard)
-  const SubscriptionPtr install = analyze_incoming(msg.sub);
+  // One summary per subscribe (analysis/summary.hpp) feeds the analysis and
+  // the covering index; a broker needing neither builds none.
+  const bool analyze = config_.analysis != AnalysisPolicy::kOff && msg.sub->is_evolving();
+  std::optional<SubscriptionSummary> summary;
+  if (analyze || covering_) summary = summarize(*msg.sub, registry_);
+  SubscriptionPtr install = msg.sub;
+  if (analyze) install = analyze_incoming(msg.sub, *summary);
   if (!install) return;  // rejected: not installed, not forwarded
   engine_->add(install, from, *this, broker_neighbors_.contains(from));
   // Forward what was installed: a folded subscription is provably equivalent
@@ -136,7 +143,9 @@ void Broker::handle_subscribe(const SubscribeMsg& msg, NodeId from) {
   auto targets = subscription_forward_targets(*install, from);
   CoveringIndex::AddResult cover;
   if (covering_) {
-    cover = covering_->add(*install, registry_);
+    // A constant fold is covered as what it installs: its own summary.
+    if (install != msg.sub) summary = summarize(*install, registry_);
+    cover = covering_->add(install->id(), std::move(*summary));
     if (cover.parent.valid()) {
       // Covered: suppress exactly the directions the root already reaches —
       // publications matching this subscription are already routed back here
@@ -198,15 +207,15 @@ void Broker::retract_demoted(const std::vector<SubscriptionId>& demoted,
   }
 }
 
-SubscriptionPtr Broker::analyze_incoming(const SubscriptionPtr& sub) {
-  if (config_.analysis == AnalysisPolicy::kOff || !sub->is_evolving()) return sub;
+SubscriptionPtr Broker::analyze_incoming(const SubscriptionPtr& sub,
+                                         const SubscriptionSummary& summary) {
   ++analysis_counters_.analyzed;
-  std::vector<const Advertisement*> ads;
+  std::vector<const SubscriptionShape*> ads;
   if (config_.routing == RoutingMode::kAdvertisement) {
     ads.reserve(adverts_.size());
-    for (const auto& [id, entry] : adverts_) ads.push_back(entry.first.get());
+    for (const auto& [id, ad] : adverts_) ads.push_back(&ad.shape);
   }
-  const SubscriptionAnalysis analysis = analyze_subscription(*sub, registry_, ads);
+  const SubscriptionAnalysis analysis = analyze_subscription(*sub, summary, registry_, ads);
   const bool enforce = config_.analysis == AnalysisPolicy::kEnforce;
   switch (analysis.verdict) {
     case Verdict::kMalformed:
@@ -300,14 +309,15 @@ void Broker::handle_update(const SubscriptionUpdateMsg& msg, NodeId from) {
   }
   if (!covering_) return;
   const SubscriptionPtr sub = engine_->subscription_of(msg.id);
-  const CoveringIndex::AddResult cover = covering_->add(*sub, registry_);
+  const CoveringIndex::AddResult cover = covering_->add(msg.id, summarize(*sub, registry_));
   if (!cover.parent.valid()) {
     // The updated subscription stands as a root: it must reach its full
     // target set, so directions suppressed under its old coverer receive the
     // updated subscription as a fresh subscribe (directions already
     // forwarded-to got the update message above). Roots it newly covers are
-    // retracted behind it, exactly as on a covering subscribe — their
-    // children were suppressed before and stay suppressed.
+    // retracted behind it, exactly as on a covering subscribe; their
+    // children move under it with the forwards they have, which it may not
+    // fully reach (ROADMAP item 1's open direction gap).
     resubscribe_promoted({msg.id});
     if (!cover.demoted.empty()) retract_demoted(cover.demoted, sub_forwards_[msg.id]);
     return;
@@ -417,7 +427,9 @@ void Broker::handle_advertise(const AdvertiseMsg& msg, NodeId from) {
   ++stats_.advertisements;
   if (!msg.adv) return;
   if (adverts_.contains(msg.adv->id())) return;  // duplicate (cycle guard)
-  adverts_.emplace(msg.adv->id(), std::make_pair(msg.adv, from));
+  const SubscriptionShape& ad_shape =
+      adverts_.emplace(msg.adv->id(), Advert{msg.adv, from, static_shape(msg.adv->predicates())})
+          .first->second.shape;
   // Advertisements are flooded.
   for (const auto neighbor : broker_neighbors_) {
     if (neighbor != from) send_to(neighbor, msg);
@@ -430,7 +442,7 @@ void Broker::handle_advertise(const AdvertiseMsg& msg, NodeId from) {
     if (std::find(forwards.begin(), forwards.end(), from) != forwards.end()) continue;
     if (engine_->destination_of(sub_id) == from) continue;  // sub came from that direction
     const auto sub = engine_->subscription_of(sub_id);
-    if (!sub || !msg.adv->intersects(*sub)) continue;
+    if (!sub || !overlaps(ad_shape, static_shape(sub->predicates()))) continue;
     send_to(from, SubscribeMsg{sub});
     forwards.push_back(from);
   }
@@ -462,8 +474,8 @@ audit::BrokerState Broker::export_snapshot() const {
   for (const auto& [id, forwards] : sub_forwards_) {
     out.routes.push_back(audit::RouteEntry{id, forwards});
   }
-  for (const auto& [id, entry] : adverts_) {
-    out.adverts.push_back(audit::AdvertEntry{id, entry.first, entry.second});
+  for (const auto& [id, ad] : adverts_) {
+    out.adverts.push_back(audit::AdvertEntry{id, ad.adv, ad.from});
   }
   if (covering_) {
     covering_->for_each_entry([this, &out](SubscriptionId id, SubscriptionId parent) {

@@ -200,10 +200,11 @@ class Broker final : public NetworkNode, public EngineHost {
   [[nodiscard]] std::vector<NodeId> subscription_forward_targets(const Subscription& sub,
                                                                  NodeId from) const;
 
-  /// Run subscribe-time static analysis per BrokerConfig::analysis. Returns
-  /// the subscription to install/forward (possibly a constant fold) or null
-  /// when it must be rejected.
-  [[nodiscard]] SubscriptionPtr analyze_incoming(const SubscriptionPtr& sub);
+  /// Judge `sub` from its subscribe-time summary per BrokerConfig::analysis.
+  /// Returns the subscription to install/forward (possibly a constant fold)
+  /// or null when it must be rejected.
+  [[nodiscard]] SubscriptionPtr analyze_incoming(const SubscriptionPtr& sub,
+                                                 const SubscriptionSummary& summary);
 
   /// Uncover-on-remove: forward each promoted subscription towards every
   /// neighbour it now needs (fresh targets minus directions already sent).
@@ -227,8 +228,14 @@ class Broker final : public NetworkNode, public EngineHost {
   /// Broker neighbours each subscription was forwarded to; unsubscribes and
   /// updates follow the same paths.
   std::unordered_map<SubscriptionId, std::vector<NodeId>> sub_forwards_;
-  /// Advertisements with the neighbour they arrived from.
-  std::map<MessageId, std::pair<std::shared_ptr<const Advertisement>, NodeId>> adverts_;
+  /// An advertisement with the neighbour it arrived from and its shape,
+  /// built once on arrival for every overlap check against it.
+  struct Advert {
+    std::shared_ptr<const Advertisement> adv;
+    NodeId from;
+    SubscriptionShape shape;
+  };
+  std::map<MessageId, Advert> adverts_;
   /// Load-monitor timers; cancelled on destruction so no simulator callback
   /// outlives the broker it captures.
   std::vector<TimerHandle> monitors_;

@@ -9,8 +9,11 @@ namespace evps {
 void CleesEngine::on_install(Part& part, const Installed& entry, EngineHost& host) {
   // Bounds that fold (the kConstant rule) never need re-materialisation,
   // t-independent bounds only when a registry variable changed.
+  const RegistryVarBounds ranges(host.variables());
   part.extra.constant_bounds = std::ranges::all_of(part.preds, [&](const CompiledPredicate& cp) {
-    return fold_bound(cp.program(), host.variables(), entry.sub->epoch()).value.has_value();
+    return fold_bound(cp.program(), eval_interval(cp.program(), ranges), host.variables(),
+                      entry.sub->epoch())
+        .has_value();
   });
   part.extra.time_invariant = !reads_time(part.preds);
 }

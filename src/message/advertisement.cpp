@@ -1,90 +1,6 @@
 #include "message/advertisement.hpp"
 
-#include <limits>
-#include <map>
-#include <optional>
-
 namespace evps {
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Conjunction of numeric constraints on one attribute, as an interval.
-/// String equality is tracked separately; everything else on strings is
-/// ignored (conservative).
-struct AttrConstraint {
-  double lo = -kInf;
-  bool lo_open = false;
-  double hi = kInf;
-  bool hi_open = false;
-  std::optional<std::string> eq_string;
-  bool contradiction = false;
-
-  void apply(const Predicate& p) {
-    if (p.is_evolving()) return;  // evolving predicates treated as unconstrained
-    const Value& v = p.constant();
-    if (v.is_string()) {
-      if (p.op() == RelOp::kEq) {
-        if (eq_string.has_value() && *eq_string != v.as_string()) contradiction = true;
-        eq_string = v.as_string();
-      }
-      return;  // other string ops: unconstrained for overlap purposes
-    }
-    const double x = *v.numeric();
-    switch (p.op()) {
-      case RelOp::kLt: tighten_hi(x, /*open=*/true); break;
-      case RelOp::kLe: tighten_hi(x, /*open=*/false); break;
-      case RelOp::kGt: tighten_lo(x, /*open=*/true); break;
-      case RelOp::kGe: tighten_lo(x, /*open=*/false); break;
-      case RelOp::kEq:
-        tighten_lo(x, false);
-        tighten_hi(x, false);
-        break;
-      case RelOp::kNe: break;  // unconstrained (conservative)
-    }
-  }
-
-  void tighten_lo(double x, bool open) {
-    if (x > lo || (x == lo && open)) {
-      lo = x;
-      lo_open = open;
-    }
-  }
-  void tighten_hi(double x, bool open) {
-    if (x < hi || (x == hi && open)) {
-      hi = x;
-      hi_open = open;
-    }
-  }
-
-  [[nodiscard]] bool feasible() const noexcept {
-    if (contradiction) return false;
-    if (lo < hi) return true;
-    return lo == hi && !lo_open && !hi_open;
-  }
-
-  /// Conservative: false only when provably disjoint.
-  [[nodiscard]] bool overlaps(const AttrConstraint& other) const noexcept {
-    if (!feasible() || !other.feasible()) return false;
-    if (eq_string.has_value() && other.eq_string.has_value() &&
-        *eq_string != *other.eq_string) {
-      return false;
-    }
-    // Combined numeric interval must be non-empty.
-    AttrConstraint merged = *this;
-    merged.tighten_lo(other.lo, other.lo_open);
-    merged.tighten_hi(other.hi, other.hi_open);
-    return merged.feasible();
-  }
-};
-
-std::map<std::string, AttrConstraint> constraints_of(const std::vector<Predicate>& preds) {
-  std::map<std::string, AttrConstraint> out;
-  for (const auto& p : preds) out[p.attribute()].apply(p);
-  return out;
-}
-
-}  // namespace
 
 bool Advertisement::covers(const Publication& pub) const {
   for (const auto& p : predicates_) {
@@ -92,21 +8,6 @@ bool Advertisement::covers(const Publication& pub) const {
     if (v == nullptr) return false;
     if (p.is_evolving()) continue;  // evolving advert predicates: unconstrained
     if (!p.matches(*v)) return false;
-  }
-  return true;
-}
-
-bool Advertisement::intersects(const Subscription& sub) const {
-  const auto ad = constraints_of(predicates_);
-  const auto sc = constraints_of(sub.predicates());
-  // A subscription requires every constrained attribute to be present in a
-  // matching publication; the advert promises each advertised attribute is
-  // present. Attributes constrained by only one side cannot prove
-  // disjointness, so only intersect the common ones.
-  for (const auto& [attr, sub_c] : sc) {
-    const auto it = ad.find(attr);
-    if (it == ad.end()) continue;
-    if (!it->second.overlaps(sub_c)) return false;
   }
   return true;
 }

@@ -1,7 +1,8 @@
 // Advertisements describe the publication space of a publisher; with
 // advertisement-based routing, subscriptions are only forwarded towards
 // brokers hosting publishers whose advertisements intersect them
-// (Section III-A).
+// (Section III-A). The intersection test lives with the other value-set
+// reasoning: overlaps() over static_shape()s (analysis/summary.hpp).
 #pragma once
 
 #include <string>
@@ -10,7 +11,6 @@
 #include "common/ids.hpp"
 #include "message/predicate.hpp"
 #include "message/publication.hpp"
-#include "message/subscription.hpp"
 
 namespace evps {
 
@@ -35,13 +35,6 @@ class Advertisement {
   /// constrained by the advertisement are unrestricted; attributes that are
   /// constrained must be present and satisfy the constraint.
   [[nodiscard]] bool covers(const Publication& pub) const;
-
-  /// Conservative overlap test: can some publication covered by this
-  /// advertisement match `sub`? Used for subscription forwarding decisions.
-  /// Must never return false when a genuine overlap exists (no false
-  /// negatives); may return true on non-overlap (extra forwarding is only a
-  /// performance cost). Evolving predicates are treated as unconstrained.
-  [[nodiscard]] bool intersects(const Subscription& sub) const;
 
   [[nodiscard]] std::string to_string() const;
 

@@ -7,7 +7,9 @@
 //     bound always lies in its derived interval;
 //   * kUnsatisfiable / kAdUncovered — the subscription never matches any
 //     sampled publication (>= 10k probes accumulate across seeds, the
-//     uncovered ones probed with publications the advertisement covers);
+//     uncovered ones probed with publications the advertisement covers;
+//     static constants include ints between 2^53 and 2^55 and strings,
+//     probed with the neighbouring ints and the strings themselves);
 //   * kConstant — the folded static subscription is bit-identical to lazy
 //     evaluation and agrees with the original on every probe;
 //   * VES overestimation — a broker-hop version widened over its MEI window
@@ -84,6 +86,28 @@ ExprPtr random_expr(Rng& rng, int depth, int vars = kVarCount) {
 
 RelOp random_op(Rng& rng) { return static_cast<RelOp>(rng.uniform_int(0, 5)); }
 
+/// An int a few steps from `base` (2^53, 2^54 or 2^55, where neighbouring
+/// ints share one double); `probes` collects it and its neighbours.
+Value near_int(Rng& rng, std::int64_t base, std::vector<Value>& probes) {
+  const std::int64_t c = base + rng.uniform_int(-3, 3);
+  for (std::int64_t d = -1; d <= 1; ++d) probes.emplace_back(c + d);
+  return Value{c};
+}
+
+/// A static constant: mostly a small double, sometimes an int near `base`
+/// or a string. `probes` collects publication values aimed at the constant.
+Value random_constant(Rng& rng, std::int64_t base, std::vector<Value>& probes) {
+  const double roll = rng.uniform();
+  if (roll < 0.15) return near_int(rng, base, probes);
+  if (roll < 0.3) {
+    const char* const strings[] = {"as_a", "as_b"};
+    const Value c{strings[rng.uniform_int(0, 1)]};
+    probes.push_back(c);
+    return c;
+  }
+  return Value{rng.uniform(-20.0, 20.0)};
+}
+
 bool same_bits(double a, double b) {
   std::uint64_t ua = 0, ub = 0;
   std::memcpy(&ua, &a, sizeof a);
@@ -126,11 +150,26 @@ TEST(AnalysisSoundness, VerdictsHoldOverSampledAssignments) {
 
     Subscription sub;
     sub.set_id(SubscriptionId{seed});
+    std::vector<Value> constant_probes;  // ints and strings aimed at static constants
+    const std::int64_t big = std::int64_t{1} << rng.uniform_int(53, 55);
+    if (rng.bernoulli(0.15)) {
+      // A narrow int window there: bounds that round to one double can still
+      // admit the ints between them.
+      const char* attr = kAttrs[rng.uniform_int(0, 1)];
+      sub.add(Predicate{attr, rng.bernoulli(0.5) ? RelOp::kGt : RelOp::kGe,
+                        near_int(rng, big, constant_probes)});
+      sub.add(Predicate{attr, rng.bernoulli(0.5) ? RelOp::kLt : RelOp::kLe,
+                        near_int(rng, big, constant_probes)});
+    }
     const int npreds = static_cast<int>(rng.uniform_int(1, 3));
     for (int i = 0; i < npreds; ++i) {
       const char* attr = kAttrs[rng.uniform_int(0, 1)];
       if (rng.bernoulli(0.35)) {
-        sub.add(Predicate{attr, random_op(rng), Value{rng.uniform(-20.0, 20.0)}});
+        const Value c = random_constant(rng, big, constant_probes);
+        // Strings compare with = and != (lexicographic orders are not modelled).
+        const RelOp op = c.is_string() ? (rng.bernoulli(0.5) ? RelOp::kEq : RelOp::kNe)
+                                       : random_op(rng);
+        sub.add(Predicate{attr, op, c});
       } else {
         sub.add(Predicate{attr, random_op(rng),
                           random_expr(rng, static_cast<int>(rng.uniform_int(1, 4)))});
@@ -138,6 +177,7 @@ TEST(AnalysisSoundness, VerdictsHoldOverSampledAssignments) {
     }
 
     const auto analysis = analyze_subscription(sub, reg, {&ad});
+    const SubscriptionSummary summary = summarize(sub, reg);
     ASSERT_NE(analysis.verdict, Verdict::kMalformed) << "seed " << seed;
     switch (analysis.verdict) {
       case Verdict::kUnsatisfiable: ++unsat_seeds; break;
@@ -180,7 +220,7 @@ TEST(AnalysisSoundness, VerdictsHoldOverSampledAssignments) {
         bool unbound = false;
         const double b = compiled[c].bound(scope, stack, unbound);
         if (!unbound) {
-          const auto& iv = analysis.predicates[evolving_index[c]].interval;
+          const auto& iv = summary.preds[evolving_index[c]].interval;
           ASSERT_TRUE(iv.admits(b))
               << "seed " << seed << ": bound " << b << " escapes [" << iv.lo << ", " << iv.hi
               << "] nan=" << iv.maybe_nan << " for "
@@ -189,11 +229,13 @@ TEST(AnalysisSoundness, VerdictsHoldOverSampledAssignments) {
         }
       }
 
-      for (const double px : probe_values) {
-        for (const double py : probe_values) {
+      std::vector<Value> probes(probe_values.begin(), probe_values.end());
+      probes.insert(probes.end(), constant_probes.begin(), constant_probes.end());
+      for (const Value& px : probes) {
+        for (const Value& py : probes) {
           Publication pub;
-          pub.set(kAttrs[0], Value{px});
-          pub.set(kAttrs[1], Value{py});
+          pub.set(kAttrs[0], px);
+          pub.set(kAttrs[1], py);
           const bool matched = oracle::matches(sub, pub, scope);
           if (analysis.verdict == Verdict::kUnsatisfiable) {
             ++never_probes;
@@ -402,6 +444,44 @@ TEST(AnalysisSoundness, HandPickedVerdicts) {
   // Undeclared variable: bounds unknown, verdict stays kOk (never guess).
   const auto undeclared = analyze("p <= 20 + 10 * as_mystery; p >= 50");
   EXPECT_EQ(undeclared.verdict, Verdict::kOk);
+}
+
+TEST(AnalysisSoundness, ValueSetVerdictsOnBigIntsStringsAndNanBounds) {
+  VariableRegistry reg;
+  const auto parse = [](const char* text) {
+    Subscription sub = parse_subscription(text);
+    sub.set_id(SubscriptionId{1});
+    return sub;
+  };
+  const auto analyze = [&](const char* text, const std::vector<const Advertisement*>& ads = {}) {
+    return analyze_subscription(parse(text), reg, ads).verdict;
+  };
+
+  // 2^55 + 1 and 2^55 + 3 both round to the double 2^55, but the int
+  // 2^55 + 2 lies strictly between them: satisfiable.
+  const Value between{std::int64_t{36028797018963970}};
+  EXPECT_TRUE(parse_predicate("as_x > 36028797018963969").matches(between));
+  EXPECT_TRUE(parse_predicate("as_x < 36028797018963971").matches(between));
+  EXPECT_EQ(analyze("as_x > 36028797018963969; as_x < 36028797018963971; as_y <= t"),
+            Verdict::kOk);
+
+  // One string both required and excluded: the attribute admits nothing.
+  EXPECT_EQ(analyze("as_s = 'A'; as_s != 'A'; as_y <= t"), Verdict::kUnsatisfiable);
+
+  // Excluding the only string an advertisement promises leaves it uncovered.
+  Advertisement ad{MessageId{1}, ClientId{1}, {parse_predicate("as_s = 'A'")}};
+  EXPECT_EQ(analyze("as_s != 'A'; as_y <= t", {&ad}), Verdict::kAdUncovered);
+  EXPECT_EQ(analyze("as_s != 'B'; as_y <= t", {&ad}), Verdict::kOk);
+
+  // A bound that is always NaN fails every comparison but !=: the outer set
+  // is empty under <= and >= (not the lone infinity the envelope's inverted
+  // endpoints would give), and full under !=.
+  const AttrId x = AttributeTable::instance().intern("as_x");
+  for (const char* text : {"as_x <= sqrt(-1 - t)", "as_x >= sqrt(-1 - t)"}) {
+    EXPECT_TRUE(summarize(parse(text), reg).outer.attrs.at(x).empty()) << text;
+    EXPECT_EQ(analyze(text), Verdict::kUnsatisfiable) << text;
+  }
+  EXPECT_TRUE(summarize(parse("as_x != sqrt(-1 - t)"), reg).outer.attrs.at(x).admits_num(0.0));
 }
 
 }  // namespace

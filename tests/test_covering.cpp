@@ -201,6 +201,19 @@ TEST_F(CoversTest, NotEqualsNumericExclusion) {
   EXPECT_EQ(check("x != 15", "x >= 10; x <= 20"), CoverVerdict::kUnknown);
 }
 
+TEST_F(CoversTest, IntsFromTwoToThe53DoNotCompareAsDoubles) {
+  // 2^53 + 1 rounds to the double 2^53, yet the int publication 2^53 + 1
+  // matches `x <= 2^53 + 1` and not `x <= 2^53`: no covering.
+  const Predicate a_pred = parse_predicate("x <= 9007199254740992");
+  const Predicate b_pred = parse_predicate("x <= 9007199254740993");
+  const Value pub{std::int64_t{9007199254740993}};
+  ASSERT_TRUE(b_pred.matches(pub));
+  ASSERT_FALSE(a_pred.matches(pub));
+  EXPECT_EQ(check("x <= 9007199254740992", "x <= 9007199254740993"), CoverVerdict::kUnknown);
+  // Below 2^53 every int is its own double, and covering stays provable.
+  EXPECT_EQ(check("x <= 9007199254740991", "x <= 9007199254740990"), CoverVerdict::kCovers);
+}
+
 TEST_F(CoversTest, NanConstantNeverCoversNumericRange) {
   const double nan = kNan;
   Subscription a;
@@ -221,7 +234,7 @@ struct CoveringIndexTest : ::testing::Test {
   }
 
   CoveringIndex::AddResult add(std::uint64_t id, const std::string& text) {
-    return index.add(make_sub(id, text), reg);
+    return index.add(SubscriptionId{id}, summarize(make_sub(id, text), reg));
   }
 };
 

@@ -56,10 +56,22 @@ std::string num(Rng& rng, double lo, double hi) {
   return os.str();
 }
 
-/// One random predicate as codec text. `constants` collects numeric operands
-/// so the probe generator can aim publications exactly at the endpoints.
-std::string random_pred(Rng& rng, std::vector<double>& constants) {
-  static const char* const kOps[] = {"<", "<=", ">", ">=", "=", "!="};
+const char* const kOps[] = {"<", "<=", ">", ">=", "=", "!="};
+
+/// `attr OP c` for an int c at or next to sign * 2^53, where ints stop being
+/// their own doubles (2^53 + 1 rounds to 2^53) but still compare exactly
+/// with each other. `ints` collects c for the probe generator.
+std::string int_pred(Rng& rng, const char* attr, int sign, std::vector<std::int64_t>& ints) {
+  const std::int64_t c = sign * ((std::int64_t{1} << 53) + rng.uniform_int(-1, 2));
+  ints.push_back(c);
+  return std::string(attr) + " " + kOps[rng.uniform_int(0, 5)] + " " + std::to_string(c);
+}
+
+/// One random predicate as codec text. `constants` collects double operands
+/// and `ints` int operands, so the probe generator can aim publications
+/// exactly at the endpoints.
+std::string random_pred(Rng& rng, std::vector<double>& constants,
+                        std::vector<std::int64_t>& ints) {
   const char* attr = kAttrs[rng.uniform_int(0, 1)];
   const double roll = rng.uniform();
   std::ostringstream os;
@@ -71,6 +83,7 @@ std::string random_pred(Rng& rng, std::vector<double>& constants) {
     os << attr << " " << op << " '" << kStrings[rng.uniform_int(0, 2)] << "'";
     return os.str();
   }
+  if (roll < 0.25) return int_pred(rng, attr, rng.bernoulli(0.5) ? 1 : -1, ints);
   const char* op = kOps[rng.uniform_int(0, 5)];
   if (roll < 0.55) {
     const double c = rng.bernoulli(0.3) ? std::floor(rng.uniform(-15.0, 15.0))
@@ -95,11 +108,12 @@ std::string random_pred(Rng& rng, std::vector<double>& constants) {
   return os.str();
 }
 
-std::string random_sub_text(Rng& rng, int npreds, std::vector<double>& constants) {
+std::string random_sub_text(Rng& rng, int npreds, std::vector<double>& constants,
+                            std::vector<std::int64_t>& ints) {
   std::string text;
   for (int i = 0; i < npreds; ++i) {
     if (i != 0) text += "; ";
-    text += random_pred(rng, constants);
+    text += random_pred(rng, constants, ints);
   }
   return text;
 }
@@ -124,17 +138,27 @@ TEST(CoveringSoundness, KCoversNeverViolatedOverSampledAssignments) {
     }
 
     std::vector<double> constants;
-    const std::string a_text =
-        random_sub_text(rng, static_cast<int>(rng.uniform_int(1, 2)), constants);
-    // Bias towards coverable pairs: B often starts as a copy of A with extra
-    // predicates (a strictly more constrained subscription).
+    std::vector<std::int64_t> ints;
+    std::string a_text;
     std::string b_text;
-    if (rng.bernoulli(0.6)) {
-      b_text = a_text;
-      const int extra = static_cast<int>(rng.uniform_int(0, 2));
-      for (int i = 0; i < extra; ++i) b_text += "; " + random_pred(rng, constants);
+    if (rng.bernoulli(0.1)) {
+      // Two single int bounds on one attribute next to 2^53: comparing the
+      // rounded doubles would call many of these pairs covered.
+      const char* attr = kAttrs[rng.uniform_int(0, 1)];
+      const int sign = rng.bernoulli(0.5) ? 1 : -1;
+      a_text = int_pred(rng, attr, sign, ints);
+      b_text = int_pred(rng, attr, sign, ints);
     } else {
-      b_text = random_sub_text(rng, static_cast<int>(rng.uniform_int(1, 3)), constants);
+      a_text = random_sub_text(rng, static_cast<int>(rng.uniform_int(1, 2)), constants, ints);
+      // Bias towards coverable pairs: B often starts as a copy of A with
+      // extra predicates (a strictly more constrained subscription).
+      if (rng.bernoulli(0.6)) {
+        b_text = a_text;
+        const int extra = static_cast<int>(rng.uniform_int(0, 2));
+        for (int i = 0; i < extra; ++i) b_text += "; " + random_pred(rng, constants, ints);
+      } else {
+        b_text = random_sub_text(rng, static_cast<int>(rng.uniform_int(1, 3)), constants, ints);
+      }
     }
 
     Subscription a = parse_subscription(a_text);
@@ -172,6 +196,10 @@ TEST(CoveringSoundness, KCoversNeverViolatedOverSampledAssignments) {
         probe_values.emplace_back(c);
         probe_values.emplace_back(std::nextafter(c, 1e300));
         probe_values.emplace_back(std::nextafter(c, -1e300));
+      }
+      // Int publications compare with int constants exactly (Value::compare).
+      for (const std::int64_t c : ints) {
+        for (std::int64_t d = -1; d <= 1; ++d) probe_values.emplace_back(c + d);
       }
 
       for (const Value& px : probe_values) {

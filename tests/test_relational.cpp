@@ -180,14 +180,14 @@ TEST(RelationalCovering, IndexSuppressesRelationallyCoveredSubscription) {
   narrow.set_id(SubscriptionId{2});
 
   CoveringIndex relational_index;
-  EXPECT_FALSE(relational_index.add(wide, reg).parent.valid());
-  const auto added = relational_index.add(narrow, reg);
+  EXPECT_FALSE(relational_index.add(wide.id(), summarize(wide, reg)).parent.valid());
+  const auto added = relational_index.add(narrow.id(), summarize(narrow, reg));
   EXPECT_EQ(added.parent, SubscriptionId{1});
   EXPECT_GE(relational_index.stats().relational, 1u);
 
   CoveringIndex plain_index{/*relational=*/false};
-  EXPECT_FALSE(plain_index.add(wide, reg).parent.valid());
-  EXPECT_FALSE(plain_index.add(narrow, reg).parent.valid());
+  EXPECT_FALSE(plain_index.add(wide.id(), summarize(wide, reg)).parent.valid());
+  EXPECT_FALSE(plain_index.add(narrow.id(), summarize(narrow, reg)).parent.valid());
   EXPECT_EQ(plain_index.stats().relational, 0u);
 }
 

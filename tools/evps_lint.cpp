@@ -188,7 +188,8 @@ void covering_report(LintContext& ctx) {
   CoveringIndex index;
   std::vector<CoverFinding> findings;
   for (const SubRecord& rec : ctx.subs) {
-    const CoveringIndex::AddResult result = index.add(rec.sub, ctx.registry);
+    const CoveringIndex::AddResult result =
+        index.add(rec.sub.id(), summarize(rec.sub, ctx.registry));
     if (result.parent.valid()) {
       findings.push_back(CoverFinding{static_cast<int>(result.parent.value()), rec.index});
     }
