@@ -37,7 +37,6 @@ evps_bench(fig10ab_throughput)
 evps_bench(fig10c_visibility)
 evps_bench(table1_summary)
 evps_bench(ablation_hybrid)
-evps_bench(ablation_matcher)
 evps_bench(routing_covering)
 # The covering-routing bench is cheap and self-checking (nonzero exit when
 # covering on/off delivery logs diverge): run it whole as a smoke test.
@@ -56,11 +55,12 @@ add_test(NAME bench_smoke_overlay_batch
   WORKING_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 set_tests_properties(bench_smoke_overlay_batch PROPERTIES LABELS bench-smoke)
 evps_gbench(micro_expr)
-# Population-heavy cases stay out of the smoke run (the 100k point-insert
-# fill alone takes ~15s, and the maintenance sweep goes to 1M): smoke keeps
-# the 10k variants, which still exercise the bulk-build and per-op paths.
+# Population-heavy cases stay out of the smoke run (the 100k and 1M point
+# fills behind BM_LargePopulationMatch, BM_VersionReplacement and
+# BM_ReboundWave): smoke keeps the 10k variants, which still exercise every
+# add and rebound path.
 evps_gbench(micro_matcher
-  "--benchmark_filter=-(BM_LargePopulationMatch|BM_MaintenanceSweep<.*>/(100000|1000000)|BM_BulkRebuild/100000)")
+  "--benchmark_filter=-(BM_LargePopulationMatch|BM_VersionReplacement/(100000|1000000)|BM_ReboundWave/100000)")
 # Building the 10k-resident populations dominates this bench (CLEES most of
 # all): smoke keeps one point of every benchmark function — the 100/1000
 # matches, K=4 sharded matching, K=4 batches of 8 and the small evolution

@@ -1,14 +1,14 @@
 // Micro-benchmarks: the standard content-based matcher.
 //
 // Two costs matter for the paper's analysis: match() (paid per publication
-// by every engine) and add()/remove() (paid per version replacement by VES —
-// the maintenance cost that grows with the matcher population, Figure 9).
+// by every engine) and rebound() (paid per version replacement by VES and
+// the LEES filter — the maintenance cost that grows with the matcher
+// population, Figure 9).
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
 #include "gbench_main.hpp"
 #include "matching/brute_force_matcher.hpp"
-#include "matching/churn_matcher.hpp"
 #include "matching/counting_matcher.hpp"
 #include "matching/sharded_matcher.hpp"
 
@@ -49,27 +49,35 @@ void BM_Match(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Match<CountingMatcher>)->Arg(100)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_Match<ChurnMatcher>)->Arg(100)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_Match<BruteForceMatcher>)->Arg(100)->Arg(1000)->Arg(10000);
 
-template <typename M>
+/// Two versions of one area of interest whose four bounds all move a little
+/// — the shape of a VES evolution.
+std::vector<std::vector<Predicate>> drifting_versions(Rng& rng) {
+  std::vector<Predicate> from = aoi_preds(rng, 100.0);
+  std::vector<Predicate> to;
+  for (const auto& p : from) to.emplace_back(p.attribute(), p.op(), *p.constant().numeric() + 0.1);
+  return {std::move(from), std::move(to)};
+}
+
+/// Rebound one subscription between its two drifting versions while the
+/// matcher holds `n` others: the VES maintenance operation. Across the
+/// Figure 9 growth axis (100 -> 1M) the paged bound indexes must keep the
+/// per-op cost sublinear (about O(log n)).
 void BM_VersionReplacement(benchmark::State& state) {
-  // The VES maintenance operation: remove + re-add one subscription while
-  // the matcher holds `n` others.
-  M matcher;
+  CountingMatcher matcher;
   Rng rng{2};
   const auto n = static_cast<std::size_t>(state.range(0));
   fill(matcher, n, rng);
   const SubscriptionId victim{n / 2 + 1};
-  std::vector<Predicate> version = aoi_preds(rng, 100.0);
-  for (auto _ : state) {
-    matcher.remove(victim);
-    matcher.add(victim, version);
-  }
+  const auto versions = drifting_versions(rng);
+  std::size_t turn = 0;
+  for (auto _ : state) matcher.rebound(victim, versions[++turn & 1]);
   benchmark::DoNotOptimize(matcher.size());
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_VersionReplacement<CountingMatcher>)->Arg(100)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_VersionReplacement<ChurnMatcher>)->Arg(100)->Arg(1000)->Arg(10000);
+
+BENCHMARK(BM_VersionReplacement)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_EqualityHeavyMatch(benchmark::State& state) {
   // HFT-style: string equality fan-out over 500 symbols plus price bands.
@@ -96,14 +104,13 @@ void BM_EqualityHeavyMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EqualityHeavyMatch)->Arg(900)->Arg(9000);
 
-template <typename M>
 void BM_LargePopulationMatch(benchmark::State& state) {
   // Millions-of-subscribers direction: 100k resident AOI subscriptions
   // (400k indexed predicates). The matcher is built once and shared across
   // repetitions — at this population the sorted-index build is the dominant
   // setup cost, not something to re-pay per timing run.
-  static M* matcher = [] {
-    auto* m = new M;
+  static CountingMatcher* matcher = [] {
+    auto* m = new CountingMatcher;
     Rng fill_rng{11};
     fill(*m, 100000, fill_rng);
     return m;
@@ -119,64 +126,33 @@ void BM_LargePopulationMatch(benchmark::State& state) {
     benchmark::DoNotOptimize(out.size());
   }
 }
-BENCHMARK(BM_LargePopulationMatch<CountingMatcher>);
-BENCHMARK(BM_LargePopulationMatch<ChurnMatcher>);
+BENCHMARK(BM_LargePopulationMatch);
 
-std::vector<MatcherBatchEntry> aoi_batch(std::size_t n, Rng& rng, std::uint64_t first_id = 1) {
-  std::vector<MatcherBatchEntry> batch;
-  batch.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    batch.push_back(MatcherBatchEntry{SubscriptionId{first_id + i}, aoi_preds(rng, 100.0)});
-  }
-  return batch;
-}
-
-template <typename M>
-void BM_MaintenanceSweep(benchmark::State& state) {
-  // Per-operation maintenance (remove + add of one subscription) against a
-  // resident population of n — the Figure 9 growth axis. With the paged
-  // bound indexes the per-op cost must grow sublinearly (≈ O(log n)) across
-  // the 10k → 1M sweep; the population itself is installed via add_batch so
-  // even the 1M setup stays a sort + merge, not n point inserts.
-  M matcher;
-  Rng rng{6};
-  const auto n = static_cast<std::size_t>(state.range(0));
-  matcher.add_batch(aoi_batch(n, rng));
-  const SubscriptionId victim{n / 2 + 1};
-  const std::vector<Predicate> version = aoi_preds(rng, 100.0);
-  for (auto _ : state) {
-    matcher.remove(victim);
-    matcher.add(victim, version);
-  }
-  benchmark::DoNotOptimize(matcher.size());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MaintenanceSweep<CountingMatcher>)->Arg(10000)->Arg(100000)->Arg(1000000);
-BENCHMARK(BM_MaintenanceSweep<ChurnMatcher>)->Arg(10000)->Arg(100000)->Arg(1000000);
-
-void BM_BulkRebuild(benchmark::State& state) {
+void BM_ReboundWave(benchmark::State& state) {
   // Args: {population, wave}. One VES evolution wave: `wave` subscriptions
-  // are removed and their fresh versions reinstalled through one add_batch —
-  // the bulk re-materialisation path (one sorted merge per touched
-  // (attribute, operator) list instead of `wave` binary-searched inserts).
+  // (a contiguous id block mid-population) each rebound to their next
+  // version; items processed = versions, so the per-version cost compares
+  // with BM_VersionReplacement's.
   CountingMatcher matcher;
   Rng rng{7};
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto wave = static_cast<std::size_t>(state.range(1));
-  matcher.add_batch(aoi_batch(n, rng));
-  const std::uint64_t first = n / 4 + 1;  // contiguous id block mid-population
-  const std::vector<MatcherBatchEntry> versions = aoi_batch(wave, rng, first);
+  fill(matcher, n, rng);
+  const std::uint64_t first = n / 4 + 1;
+  std::vector<std::vector<std::vector<Predicate>>> versions;
+  versions.reserve(wave);
+  for (std::size_t i = 0; i < wave; ++i) versions.push_back(drifting_versions(rng));
+  std::size_t turn = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    auto fresh = versions;  // re-materialised wave (copied outside the timer)
-    state.ResumeTiming();
-    for (std::size_t i = 0; i < wave; ++i) matcher.remove(SubscriptionId{first + i});
-    matcher.add_batch(std::move(fresh));
+    ++turn;
+    for (std::size_t i = 0; i < wave; ++i) {
+      matcher.rebound(SubscriptionId{first + i}, versions[i][turn & 1]);
+    }
   }
   benchmark::DoNotOptimize(matcher.size());
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(wave));
 }
-BENCHMARK(BM_BulkRebuild)->Args({10000, 1000})->Args({100000, 1000})->Args({100000, 10000});
+BENCHMARK(BM_ReboundWave)->Args({10000, 1000})->Args({100000, 1000})->Args({100000, 10000});
 
 void BM_ShardedMatch(benchmark::State& state) {
   // Args: {subscriptions, shards}. K=1 is the exact unsharded code path, so

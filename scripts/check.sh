@@ -138,11 +138,10 @@ if [[ "${QUICK}" == "0" ]]; then
     [[ -x "${bench}" ]] || continue
     case "${bench##*/}" in
       micro_matcher)
-        # Skip the population-heavy cases (100k point-insert fill, the
-        # 100k/1M maintenance-sweep and bulk-rebuild fills) — the 10k
-        # variants already cover every code path, including add_batch.
+        # Skip the population-heavy cases (the 100k and 1M point fills) —
+        # the 10k variants already cover every code path, rebound included.
         "${bench}" --benchmark_min_time=0.01 --benchmark_repetitions=1 \
-            '--benchmark_filter=-(BM_LargePopulationMatch|BM_MaintenanceSweep<.*>/(100000|1000000)|BM_BulkRebuild/100000)' \
+            '--benchmark_filter=-(BM_LargePopulationMatch|BM_VersionReplacement/(100000|1000000)|BM_ReboundWave/100000)' \
             --benchmark_out=/dev/null >/dev/null ;;
       micro_engines)
         # One point per benchmark function: the 10k-resident population

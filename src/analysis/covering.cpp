@@ -15,10 +15,6 @@ std::string_view to_string(CoverVerdict v) noexcept {
   return "?";
 }
 
-bool compares_as_double(const Value& c) noexcept {
-  return !c.is_int() || std::abs(*c.numeric()) < 0x1p53;
-}
-
 bool ValueSet::admits_num(double v) const noexcept {
   if (std::isnan(v)) return false;
   if (v < lo || (v == lo && lo_open)) return false;

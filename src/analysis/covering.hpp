@@ -63,21 +63,13 @@ enum class CoverVerdict : std::uint8_t { kCovers, kUnknown };
 
 [[nodiscard]] std::string_view to_string(CoverVerdict v) noexcept;
 
-/// The one exact-int guard of the ValueSet and octagon domains: does
-/// reasoning over the double a numeric constant converts to reproduce
-/// Value::compare? Doubles always do. An int does only below 2^53 in
-/// magnitude: from 2^53 on, distinct int64s round to one double (2^53 + 1
-/// rounds to 2^53), and int/int comparisons are exact, so a publication's
-/// int and the constant can compare differently than their doubles.
-[[nodiscard]] bool compares_as_double(const Value& c) noexcept;
-
 /// The set of publication Values admitted on one attribute, in the
 /// content-based comparison model: numeric values (int and double compared
-/// in double space; constants failing compares_as_double widen or empty
-/// their set), the incomparable NaN, and strings. Supports exactly the
-/// shapes predicate conjunctions produce: one numeric interval with open/
-/// closed endpoints, finitely many excluded numeric points (from !=), and
-/// none/one/all strings with finitely many exclusions.
+/// in double space; constants failing compares_as_double, common/value.hpp,
+/// widen or empty their set), the incomparable NaN, and strings. Supports
+/// exactly the shapes predicate conjunctions produce: one numeric interval
+/// with open/closed endpoints, finitely many excluded numeric points (from
+/// !=), and none/one/all strings with finitely many exclusions.
 struct ValueSet {
   double lo = -std::numeric_limits<double>::infinity();
   double hi = std::numeric_limits<double>::infinity();

@@ -26,6 +26,10 @@ std::optional<int> Value::compare(const Value& rhs) const noexcept {
   return a < b ? -1 : (a > b ? 1 : 0);
 }
 
+bool compares_as_double(const Value& c) noexcept {
+  return !c.is_int() || std::abs(*c.numeric()) < 0x1p53;
+}
+
 std::string Value::to_string() const {
   if (is_int()) return std::to_string(as_int());
   if (is_string()) return "'" + as_string() + "'";

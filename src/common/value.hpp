@@ -67,4 +67,14 @@ class Value {
   Storage v_;
 };
 
+/// The one exact-int guard of analysis and matching: does reasoning over the
+/// double a numeric constant converts to reproduce Value::compare? Doubles
+/// always do. An int does only below 2^53 in magnitude: from 2^53 on,
+/// distinct int64s round to one double (2^53 + 1 rounds to 2^53), and
+/// int/int comparisons are exact, so a publication's int and the constant
+/// can compare differently than their doubles. (Below 2^53 the constant is
+/// exact and rounding is monotone, so any publication value's double orders
+/// against it as the value itself does.)
+[[nodiscard]] bool compares_as_double(const Value& c) noexcept;
+
 }  // namespace evps

@@ -38,7 +38,8 @@
 // inside its window, so deliveries are those of the exhaustive scan; only
 // probe counts and CPU move. Envelopes are (re)built in waves at match time,
 // one per shard on its own worker, for parts that are new, whose window
-// ended, or that read a discrete variable which changed. Snapshot-mode
+// ended, or that read a discrete variable which changed; a part that stays
+// indexed replaces its bounds through Matcher::rebound. Snapshot-mode
 // probes evaluate at the publication's entry time, outside any window, so
 // they always take the scan. Caching rules (CLEES, the hybrid) anchor a
 // version at its first probe; probing fewer parts would change their
@@ -179,6 +180,7 @@ class LazyEngine : public BrokerEngine {
     std::uint64_t seen_version = 0;      // registry global version at the last wave
     SimTime last_wave = SimTime::from_micros(std::numeric_limits<std::int64_t>::min());
     std::vector<SubscriptionId> due;     // wave scratch
+    std::vector<Predicate> bounds;       // wave scratch: one part's envelope
   };
 
   [[nodiscard]] Storage& storage_for(SubscriptionId id) noexcept {
@@ -314,15 +316,14 @@ void LazyEngine<Derived, Extra>::envelope_wave(std::size_t s, const VariableRegi
   std::sort(due.begin(), due.end());
   due.erase(std::unique(due.begin(), due.end()), due.end());
 
-  std::vector<MatcherBatchEntry> batch;
-  std::vector<Predicate> bounds;
+  auto& bounds = filter.bounds;
   for (const auto id : due) {
     const auto slot = static_cast<std::uint32_t>(id.value());
     Part& part = storage.part(slot);
     const Subscription& sub = *part.sub;
     auto& state = part.extra;
-    if (state.where == EnvelopeUse::kIndexed) filter.index->remove(id);
-    if (state.where == EnvelopeUse::kScanned) std::erase(filter.scanned, slot);
+    const EnvelopeUse was = state.where;
+    if (was == EnvelopeUse::kScanned) std::erase(filter.scanned, slot);
     ++sc.envelopes;
     state.versions = discrete_versions(part.preds, registry);
     const Duration span = filter_window(sub, now, effective_mei(sub));
@@ -338,19 +339,21 @@ void LazyEngine<Derived, Extra>::envelope_wave(std::size_t s, const VariableRegi
       if (never) break;
     }
     state.where = EnvelopeUse::kNone;
-    if (never) continue;
-    // Infinite bounds filter nothing; without a finite one, scan the part.
-    std::erase_if(bounds,
-                  [](const Predicate& b) { return !std::isfinite(*b.constant().numeric()); });
-    if (bounds.empty()) {
-      state.where = EnvelopeUse::kScanned;
-      filter.scanned.push_back(slot);
-    } else {
-      state.where = EnvelopeUse::kIndexed;
-      batch.push_back(MatcherBatchEntry{id, std::move(bounds)});
+    if (!never) {
+      // Infinite bounds filter nothing; without a finite one, scan the part.
+      std::erase_if(bounds,
+                    [](const Predicate& b) { return !std::isfinite(*b.constant().numeric()); });
+      state.where = bounds.empty() ? EnvelopeUse::kScanned : EnvelopeUse::kIndexed;
+      if (bounds.empty()) filter.scanned.push_back(slot);
+    }
+    // rebound installs a part that enters the filter and replaces the bounds
+    // of one that stays.
+    if (state.where == EnvelopeUse::kIndexed) {
+      filter.index->rebound(id, bounds);
+    } else if (was == EnvelopeUse::kIndexed) {
+      filter.index->remove(id);
     }
   }
-  filter.index->add_batch(std::move(batch));
 }
 
 template <class Derived, class Extra>

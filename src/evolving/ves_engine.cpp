@@ -29,7 +29,8 @@ void VesEngine::do_add(const Installed& entry, EngineHost& host) {
     // Initial version (Figure 3): evaluate the predicate functions with the
     // current evolution-variable values and insert into the matcher.
     const ScopedTimer timer(costs_.maintenance);
-    matcher_->add(sub.id(), materialize_version(state, registry, now));
+    materialize_version(state, registry, now);
+    matcher_->add(sub.id(), version_);
   }
   state.versions = discrete_versions(state.preds, registry);
   evolving_.emplace(sub.id(), std::move(state));
@@ -114,12 +115,11 @@ void VesEngine::on_variable_changed(EngineHost& host) {
   arm_timer(host);
 }
 
-std::vector<Predicate> VesEngine::materialize_version(const EvolvingState& state,
-                                                      const VariableRegistry& registry,
-                                                      SimTime now) {
+void VesEngine::materialize_version(const EvolvingState& state, const VariableRegistry& registry,
+                                    SimTime now) {
   const auto& sub = *state.sub;
-  std::vector<Predicate> out;
-  out.reserve(sub.predicates().size());
+  auto& out = version_;
+  out.clear();
   scope_.rebind(&registry, now);
   scope_.set_epoch(sub.epoch());
   // Overestimation widens range predicates to the function's envelope over
@@ -149,35 +149,29 @@ std::vector<Predicate> VesEngine::materialize_version(const EvolvingState& state
     out.push_back(never ? Predicate{p.attribute(), RelOp::kLt, Value{std::nan("")}}
                         : Predicate{p.attribute(), p.op(), Value{bound}});
   }
-  return out;
 }
 
 void VesEngine::evolve_batch(const std::vector<SubscriptionId>& due, EngineHost& host) {
   if (due.empty()) return;
   auto& registry = host.variables();
   const SimTime now = host.now();
-  std::vector<MatcherBatchEntry> batch;
-  batch.reserve(due.size());
-  std::vector<EvolvingState*> states;
-  states.reserve(due.size());
+  evolved_.clear();
   {
-    // Replacing the stored versions — the remove + insert against the
-    // matcher — is the dominant VES maintenance cost (Figure 9 discussion).
-    // One timer sample covers the whole wave; benches consume
-    // maintenance.sum(), so batching the measurement changes nothing
-    // reported.
+    // Replacing the stored versions — the matcher work — is the dominant
+    // VES maintenance cost (Figure 9 discussion). One timer sample covers
+    // the whole wave; benches consume maintenance.sum(), so batching the
+    // measurement changes nothing reported.
     const ScopedTimer timer(costs_.maintenance);
     for (const auto id : due) {
       const auto it = evolving_.find(id);
       if (it == evolving_.end()) continue;
-      batch.push_back(MatcherBatchEntry{id, materialize_version(it->second, registry, now)});
-      states.push_back(&it->second);
-      matcher_->remove(id);
+      materialize_version(it->second, registry, now);
+      matcher_->rebound(id, version_);
+      evolved_.push_back(&it->second);
     }
-    matcher_->add_batch(std::move(batch));
   }
-  costs_.evolutions += states.size();
-  for (EvolvingState* state : states) {
+  costs_.evolutions += evolved_.size();
+  for (EvolvingState* state : evolved_) {
     state->versions = discrete_versions(state->preds, registry);
     esq_.push(state->sub->id(), now + effective_mei(*state->sub));
   }

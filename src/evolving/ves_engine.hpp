@@ -10,8 +10,9 @@
 //     continuous variable `t` counts as always-changing. Otherwise it parks
 //     in the ready list until one of its variables changes (the paper's
 //     "list of subscriptions that are ready to evolve").
-//   * Evolving = remove old version from the matcher, insert the freshly
-//     evaluated one, reschedule at now + MEI. The cost of these matcher
+//   * Evolving = replace the old version in the matcher with the freshly
+//     evaluated one (Matcher::rebound, the paper's remove + insert under
+//     one matcher slot), reschedule at now + MEI. The cost of these matcher
 //     operations is the VES maintenance overhead measured in Figures 8/9.
 //
 // Matching publications uses only the standard matcher (fast — the base
@@ -68,21 +69,18 @@ class VesEngine final : public BrokerEngine {
   void on_variable_changed(EngineHost& host);
 
   /// The one evolution path: re-materialise every id in `due` (unknown ids
-  /// are skipped), remove the old versions, install the new ones through one
-  /// matcher add_batch — the paged bound indexes then pay one sorted merge
-  /// per touched (attribute, operator) list instead of one binary-searched
-  /// insert per predicate — and reschedule. Timer and variable-change waves
-  /// both land here.
+  /// are skipped), replace each old version through the matcher's rebound
+  /// — only the predicates that changed are re-indexed — and reschedule.
+  /// Timer and variable-change waves both land here.
   void evolve_batch(const std::vector<SubscriptionId>& due, EngineHost& host);
 
-  /// Non-evolving version of the subscription at `now`; if the state asks
-  /// for overestimation, range predicates are widened to the function's
-  /// interval envelope over [now, now + MEI], a sound superset of every value
-  /// it takes there. Uses the engine's shared scope and eval stack
-  /// (maintenance path, not reentrant).
-  [[nodiscard]] std::vector<Predicate> materialize_version(const EvolvingState& state,
-                                                           const VariableRegistry& registry,
-                                                           SimTime now);
+  /// Fill version_ with the non-evolving version of the subscription at
+  /// `now`; if the state asks for overestimation, range predicates are
+  /// widened to the function's interval envelope over [now, now + MEI], a
+  /// sound superset of every value it takes there. Uses the engine's shared
+  /// scope and eval stack (maintenance path, not reentrant).
+  void materialize_version(const EvolvingState& state, const VariableRegistry& registry,
+                           SimTime now);
 
   EvolvingSubscriptionQueue esq_;
   std::unordered_map<SubscriptionId, EvolvingState> evolving_;
@@ -92,6 +90,9 @@ class VesEngine final : public BrokerEngine {
   VariableRegistry::ListenerId listener_id_ = 0;
   SimTime armed_until_ = SimTime::max();
   bool timer_armed_ = false;
+  /// Maintenance scratch, reused by every version and wave.
+  std::vector<Predicate> version_;
+  std::vector<EvolvingState*> evolved_;
 };
 
 }  // namespace evps

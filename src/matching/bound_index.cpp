@@ -97,100 +97,4 @@ bool PagedBoundIndex::erase(double bound, Slot slot) {
   return true;
 }
 
-void PagedBoundIndex::insert_batch(std::vector<Entry>&& entries) {
-  if (entries.empty()) return;
-  if (entries.size() == 1) {
-    insert(entries[0].bound, entries[0].slot);
-    return;
-  }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    return key_less(a.bound, a.slot, b.bound, b.slot);
-  });
-
-  // Refill target below capacity so post-batch point inserts do not split
-  // immediately.
-  static constexpr std::size_t kFill = kPageCapacity * 3 / 4;
-  const auto emit_chunks = [](std::vector<Page>& out, const std::vector<double>& bounds,
-                              const std::vector<Slot>& slots) {
-    for (std::size_t i = 0; i < bounds.size(); i += kFill) {
-      const std::size_t n = std::min(kFill, bounds.size() - i);
-      Page page;
-      page.bounds.assign(bounds.begin() + static_cast<std::ptrdiff_t>(i),
-                         bounds.begin() + static_cast<std::ptrdiff_t>(i + n));
-      page.slots.assign(slots.begin() + static_cast<std::ptrdiff_t>(i),
-                        slots.begin() + static_cast<std::ptrdiff_t>(i + n));
-      out.push_back(std::move(page));
-    }
-  };
-
-  std::vector<Page> out_pages;
-  out_pages.reserve(pages_.size() + entries.size() / kFill + 1);
-  std::vector<double> merged_bounds;
-  std::vector<Slot> merged_slots;
-
-  if (pages_.empty()) {
-    merged_bounds.reserve(entries.size());
-    merged_slots.reserve(entries.size());
-    for (const Entry& e : entries) {
-      assert(!std::isnan(e.bound) && "NaN bounds must be quarantined by the caller");
-      merged_bounds.push_back(e.bound);
-      merged_slots.push_back(e.slot);
-    }
-    emit_chunks(out_pages, merged_bounds, merged_slots);
-  } else {
-    std::size_t e = 0;  // next unmerged addition
-    for (std::size_t p = 0; p < pages_.size(); ++p) {
-      // Additions belonging to page p: keys up to the page max; the last
-      // page absorbs everything beyond every max.
-      std::size_t e_end = entries.size();
-      if (p + 1 != pages_.size()) {
-        e_end = e;
-        while (e_end < entries.size() &&
-               !key_less(max_bound_[p], max_slot_[p], entries[e_end].bound,
-                         entries[e_end].slot)) {
-          ++e_end;
-        }
-      }
-      if (e_end == e) {
-        out_pages.push_back(std::move(pages_[p]));  // untouched: moved, not copied
-        continue;
-      }
-      const Page& page = pages_[p];
-      merged_bounds.clear();
-      merged_slots.clear();
-      merged_bounds.reserve(page.bounds.size() + (e_end - e));
-      merged_slots.reserve(merged_bounds.capacity());
-      std::size_t i = 0;
-      while (i < page.bounds.size() || e < e_end) {
-        const bool take_entry =
-            i >= page.bounds.size() ||
-            (e < e_end &&
-             key_less(entries[e].bound, entries[e].slot, page.bounds[i], page.slots[i]));
-        if (take_entry) {
-          assert(!std::isnan(entries[e].bound) && "NaN bounds must be quarantined");
-          merged_bounds.push_back(entries[e].bound);
-          merged_slots.push_back(entries[e].slot);
-          ++e;
-        } else {
-          merged_bounds.push_back(page.bounds[i]);
-          merged_slots.push_back(page.slots[i]);
-          ++i;
-        }
-      }
-      emit_chunks(out_pages, merged_bounds, merged_slots);
-    }
-  }
-
-  pages_ = std::move(out_pages);
-  max_bound_.clear();
-  max_slot_.clear();
-  max_bound_.reserve(pages_.size());
-  max_slot_.reserve(pages_.size());
-  for (const Page& page : pages_) {
-    max_bound_.push_back(page.bounds.back());
-    max_slot_.push_back(page.slots.back());
-  }
-  size_ += entries.size();
-}
-
 }  // namespace evps

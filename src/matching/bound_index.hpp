@@ -15,18 +15,13 @@
 // walk whole pages through the SoA slot arrays — contiguous, branch-free
 // inner loops — and touch at most one partial page at the boundary.
 //
-// insert_batch() is the bulk path for VES version re-materialisation: the
-// additions are sorted once and merged page-wise (untouched pages are moved,
-// not copied), so a batch of m inserts into an n-entry index costs
-// O(m log m + touched pages) rather than m binary-searched inserts.
-//
 // Ordering contract: keys are (bound, slot) lexicographic with doubles under
 // IEEE `<`. NaN bounds are REJECTED (assert) — they have no total order and
 // would corrupt any sorted structure; callers must quarantine NaN-constant
 // predicates into their scan paths (they can never match anyway). -0.0 and
-// 0.0 compare equal and are disambiguated by slot, which is safe because
-// per-subscription predicate dedup guarantees one entry per equal-bound
-// class per slot.
+// 0.0 compare equal and are disambiguated by slot; equal keys of one slot
+// (the int 2 and the double 2.0 under one operator) are interchangeable, so
+// erasing either one is exact.
 #pragma once
 
 #include <algorithm>
@@ -42,28 +37,18 @@ class PagedBoundIndex {
  public:
   using Slot = std::uint32_t;
 
-  struct Entry {
-    double bound;
-    Slot slot;
-  };
-
   /// Entries per leaf page. 256 keeps a page's bound array at 2 KiB (half an
   /// L1 way) so the partial-page binary search and the shift on insert stay
   /// in cache.
   static constexpr std::size_t kPageCapacity = 256;
 
   /// Insert one entry. `bound` must not be NaN. Duplicate (bound, slot)
-  /// pairs are allowed (multiset semantics); callers' predicate dedup makes
-  /// them not occur in practice.
+  /// pairs are allowed (multiset semantics).
   void insert(double bound, Slot slot);
 
   /// Erase one entry matching (bound, slot); NaN-safe by precondition
   /// (NaN never enters). Returns false when no such entry exists.
   bool erase(double bound, Slot slot);
-
-  /// Bulk-merge `entries` (any order, NaN-free). Equivalent to calling
-  /// insert() per entry, but sorts the additions once and merges page-wise.
-  void insert_batch(std::vector<Entry>&& entries);
 
   void clear() noexcept {
     pages_.clear();

@@ -6,9 +6,7 @@ void BruteForceMatcher::add(SubscriptionId id, const std::vector<Predicate>& pre
   require_static(preds);
   Stored stored{preds, {}};
   stored.attr_ids.reserve(preds.size());
-  for (const auto& p : preds) {
-    stored.attr_ids.push_back(AttributeTable::instance().intern(p.attribute()));
-  }
+  for (const auto& p : preds) stored.attr_ids.push_back(p.attr_id());
   const auto [it, inserted] = subs_.emplace(id, std::move(stored));
   if (!inserted) throw std::invalid_argument("duplicate subscription id " + id.str());
 }

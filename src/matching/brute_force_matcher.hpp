@@ -1,8 +1,8 @@
 // Reference matcher: linear scan over all stored subscriptions.
 //
 // Used as the correctness oracle in property tests and as the baseline in
-// the matcher micro-benchmarks. Attribute names are interned once on add so
-// the scan probes publications by AttrId instead of comparing strings.
+// the matcher micro-benchmarks. Each predicate's interned AttrId is stored
+// beside it so the scan probes publications by id instead of by string.
 #pragma once
 
 #include <map>

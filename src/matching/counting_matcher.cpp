@@ -4,44 +4,63 @@
 #include <cmath>
 
 #include "matching/brute_force_matcher.hpp"
-#include "matching/churn_matcher.hpp"
 
 namespace evps {
 
 namespace {
 
-/// Identity (not equivalence) match for static predicates, safe under NaN:
-/// Predicate::operator== compares constants through Value::compare, which
-/// makes a NaN-constant predicate unequal to ITSELF — the historical reason
-/// stale NaN entries could not be unindexed. Numeric operands compare as
-/// doubles with NaN==NaN allowed; -0.0 == 0.0 is deliberate (such operand
-/// pairs are deduplicated as equal predicates and never coexist per slot).
+/// Identity (not equivalence) of two static predicates, safe under NaN and
+/// exact for ints: Predicate::operator== compares constants through
+/// Value::compare, which makes a NaN-constant predicate unequal to ITSELF —
+/// the historical reason stale NaN entries could not be unindexed — and
+/// makes ints beyond 2^53 equal whenever their doubles are. Constants of one
+/// numeric kind compare exactly (doubles with NaN==NaN allowed); -0.0 == 0.0
+/// is deliberate (such operand pairs are deduplicated as equal predicates and
+/// never coexist per slot).
 bool same_static_predicate(const Predicate& a, const Predicate& b) noexcept {
   if (a.op() != b.op() || a.attr_id() != b.attr_id()) return false;
   const Value& ca = a.constant();
   const Value& cb = b.constant();
-  if (ca.is_string() != cb.is_string()) return false;
+  if (ca.is_int() != cb.is_int() || ca.is_string() != cb.is_string()) return false;
   if (ca.is_string()) return ca.as_string() == cb.as_string();
-  const double na = *ca.numeric();
-  const double nb = *cb.numeric();
+  if (ca.is_int()) return ca.as_int() == cb.as_int();
+  const double na = ca.as_double();
+  const double nb = cb.as_double();
   return na == nb || (std::isnan(na) && std::isnan(nb));
 }
 
+/// True iff `p` belongs in the exact misc scan: an int constant beyond the
+/// exact doubles (whatever the operator), an ordered string comparison, or a
+/// NaN-constant ordered/equality predicate.
+bool in_misc(const Predicate& p) noexcept {
+  const Value& c = p.constant();
+  if (!compares_as_double(c)) return true;
+  if (p.op() == RelOp::kNe) return false;
+  if (c.is_string()) return p.op() != RelOp::kEq;
+  return std::isnan(*c.numeric());
+}
+
 }  // namespace
+
+void CountingMatcher::dedup_into(const std::vector<Predicate>& preds,
+                                 std::vector<Predicate>& out) {
+  // Identical predicates are conjunctively redundant, and indexing copies
+  // would leave stale entries on remove (each index list stores one
+  // occurrence per unique (attr, op, operand) triple per subscription).
+  // Identity, not operator==: an int beyond 2^53 equals the double it rounds
+  // to under operator== but does not match like it.
+  for (const auto& p : preds) {
+    if (std::none_of(out.begin(), out.end(),
+                     [&](const Predicate& q) { return same_static_predicate(p, q); })) {
+      out.push_back(p);
+    }
+  }
+}
 
 CountingMatcher::SubSlot CountingMatcher::claim_slot(SubscriptionId id,
                                                      const std::vector<Predicate>& preds) {
   require_static(preds);
   if (slot_of_.contains(id)) throw std::invalid_argument("duplicate subscription id " + id.str());
-
-  // Deduplicate identical predicates: conjunctively redundant, and indexing
-  // copies would leave stale entries on remove (each index list stores one
-  // occurrence per unique (attr, op, operand) triple per subscription).
-  std::vector<Predicate> unique;
-  unique.reserve(preds.size());
-  for (const auto& p : preds) {
-    if (std::find(unique.begin(), unique.end(), p) == unique.end()) unique.push_back(p);
-  }
 
   SubSlot slot;
   if (!free_slots_.empty()) {
@@ -54,43 +73,17 @@ CountingMatcher::SubSlot CountingMatcher::claim_slot(SubscriptionId id,
     counts_.push_back(0);
   }
   slot_of_.emplace(id, slot);
-  slots_[slot].id = id;
-  slots_[slot].preds = std::move(unique);
-  predicate_count_ += slots_[slot].preds.size();
+  auto& state = slots_[slot];
+  state.id = id;
+  state.preds.reserve(preds.size());
+  dedup_into(preds, state.preds);
+  predicate_count_ += state.preds.size();
   return slot;
 }
 
 void CountingMatcher::add(SubscriptionId id, const std::vector<Predicate>& preds) {
   const SubSlot slot = claim_slot(id, preds);
-  for (const auto& p : slots_[slot].preds) index_predicate(slot, p, nullptr);
-}
-
-void CountingMatcher::add_batch(std::vector<MatcherBatchEntry> batch) {
-  // Stage every ordered numeric bound, index everything else point-wise
-  // (those structures are O(1) per entry anyway), then merge each touched
-  // (attr, op) bound list once.
-  std::vector<StagedBound> staged;
-  for (const auto& entry : batch) {
-    const SubSlot slot = claim_slot(entry.id, entry.preds);
-    for (const auto& p : slots_[slot].preds) index_predicate(slot, p, &staged);
-  }
-  if (staged.empty()) return;
-  std::sort(staged.begin(), staged.end(), [](const StagedBound& a, const StagedBound& b) {
-    if (a.attr != b.attr) return a.attr < b.attr;
-    return a.op < b.op;
-  });
-  std::vector<PagedBoundIndex::Entry> run;
-  for (std::size_t i = 0; i < staged.size();) {
-    std::size_t j = i;
-    run.clear();
-    while (j < staged.size() && staged[j].attr == staged[i].attr &&
-           staged[j].op == staged[i].op) {
-      run.push_back(PagedBoundIndex::Entry{staged[j].bound, staged[j].slot});
-      ++j;
-    }
-    bound_list(index_[staged[i].attr], staged[i].op).insert_batch(std::move(run));
-    i = j;
-  }
+  for (const auto& p : slots_[slot].preds) index_predicate(slot, p);
 }
 
 bool CountingMatcher::remove(SubscriptionId id) {
@@ -108,6 +101,31 @@ bool CountingMatcher::remove(SubscriptionId id) {
   return true;
 }
 
+void CountingMatcher::rebound(SubscriptionId id, const std::vector<Predicate>& version) {
+  require_static(version);
+  const auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) {
+    add(id, version);
+    return;
+  }
+  const SubSlot slot = it->second;
+  version_.clear();
+  dedup_into(version, version_);
+  auto& preds = slots_[slot].preds;
+  // Position by position: an unchanged predicate stays indexed; a changed
+  // one is unindexed and its replacement indexed into the same slot.
+  const std::size_t common = std::min(preds.size(), version_.size());
+  for (std::size_t i = 0; i < common; ++i) {
+    if (same_static_predicate(preds[i], version_[i])) continue;
+    unindex_predicate(slot, preds[i]);
+    index_predicate(slot, version_[i]);
+  }
+  for (std::size_t i = common; i < preds.size(); ++i) unindex_predicate(slot, preds[i]);
+  for (std::size_t i = common; i < version_.size(); ++i) index_predicate(slot, version_[i]);
+  predicate_count_ = predicate_count_ - preds.size() + version_.size();
+  preds.swap(version_);  // the old buffer becomes the next call's scratch
+}
+
 PagedBoundIndex& CountingMatcher::bound_list(AttributeIndex& idx, RelOp op) noexcept {
   switch (op) {
     case RelOp::kLt: return idx.lt;
@@ -117,11 +135,18 @@ PagedBoundIndex& CountingMatcher::bound_list(AttributeIndex& idx, RelOp op) noex
   }
 }
 
-void CountingMatcher::index_predicate(SubSlot slot, const Predicate& p,
-                                      std::vector<StagedBound>* staged) {
-  const AttrId attr = AttributeTable::instance().intern(p.attribute());
+void CountingMatcher::index_predicate(SubSlot slot, const Predicate& p) {
+  const AttrId attr = p.attr_id();
   if (attr >= index_.size()) index_.resize(attr + 1);
   auto& idx = index_[attr];
+  if (in_misc(p)) {
+    // Quarantined NaN constants break both the hash-equality keying of
+    // eq_num (find(NaN) never succeeds, so removes leak) and the strict weak
+    // ordering of a sorted structure; they can never be satisfied and the
+    // scan evaluates them to false. Ints beyond 2^53 need the exact compare.
+    idx.misc.emplace_back(p, slot);
+    return;
+  }
   const Value& c = p.constant();
   if (p.op() == RelOp::kNe) {
     if (c.is_string()) {
@@ -135,37 +160,28 @@ void CountingMatcher::index_predicate(SubSlot slot, const Predicate& p,
     return;
   }
   if (c.is_string()) {
-    if (p.op() == RelOp::kEq) {
-      idx.eq_str[c.as_string()].push_back(slot);
-    } else {
-      idx.misc.emplace_back(p, slot);  // ordered string comparison: scan
-    }
+    idx.eq_str[c.as_string()].push_back(slot);  // ordered ones went to misc
     return;
   }
   const double bound = *c.numeric();
-  if (std::isnan(bound)) {
-    // Quarantine: NaN breaks both the hash-equality keying of eq_num
-    // (find(NaN) never succeeds, so removes leak) and the strict weak
-    // ordering of a sorted structure. A NaN-constant ordered/equality
-    // predicate can never be satisfied; the misc scan evaluates it to false.
-    idx.misc.emplace_back(p, slot);
-    return;
-  }
   if (p.op() == RelOp::kEq) {
     idx.eq_num[bound].push_back(slot);
     return;
   }
-  if (staged != nullptr) {
-    staged->push_back(StagedBound{attr, p.op(), bound, slot});
-  } else {
-    bound_list(idx, p.op()).insert(bound, slot);
-  }
+  bound_list(idx, p.op()).insert(bound, slot);
 }
 
 void CountingMatcher::unindex_predicate(SubSlot slot, const Predicate& p) {
-  AttributeIndex* idx_ptr = find_index(AttributeTable::instance().find(p.attribute()));
+  AttributeIndex* idx_ptr = find_index(p.attr_id());
   if (idx_ptr == nullptr) return;
   auto& idx = *idx_ptr;
+  if (in_misc(p)) {
+    const auto pos = std::find_if(idx.misc.begin(), idx.misc.end(), [&](const auto& e) {
+      return e.second == slot && same_static_predicate(e.first, p);
+    });
+    if (pos != idx.misc.end()) idx.misc.erase(pos);
+    return;
+  }
   const Value& c = p.constant();
 
   auto erase_from_map = [&](auto& map, const auto& key) {
@@ -200,24 +216,10 @@ void CountingMatcher::unindex_predicate(SubSlot slot, const Predicate& p) {
     return;
   }
   if (c.is_string()) {
-    if (p.op() == RelOp::kEq) {
-      erase_from_map(idx.eq_str, c.as_string());
-    } else {
-      const auto pos = std::find_if(idx.misc.begin(), idx.misc.end(), [&](const auto& e) {
-        return e.second == slot && same_static_predicate(e.first, p);
-      });
-      if (pos != idx.misc.end()) idx.misc.erase(pos);
-    }
+    erase_from_map(idx.eq_str, c.as_string());
     return;
   }
   const double bound = *c.numeric();
-  if (std::isnan(bound)) {
-    const auto pos = std::find_if(idx.misc.begin(), idx.misc.end(), [&](const auto& e) {
-      return e.second == slot && same_static_predicate(e.first, p);
-    });
-    if (pos != idx.misc.end()) idx.misc.erase(pos);
-    return;
-  }
   if (p.op() == RelOp::kEq) {
     erase_from_map(idx.eq_num, bound);
     return;
@@ -320,7 +322,6 @@ MatcherPtr make_matcher(MatcherKind kind) {
   switch (kind) {
     case MatcherKind::kBruteForce: return std::make_unique<BruteForceMatcher>();
     case MatcherKind::kCounting: return std::make_unique<CountingMatcher>();
-    case MatcherKind::kChurn: return std::make_unique<ChurnMatcher>();
   }
   throw std::invalid_argument("unknown matcher kind");
 }

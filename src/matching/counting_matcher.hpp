@@ -10,16 +10,15 @@
 // top level is a flat vector, not a string-keyed map):
 //   * four PagedBoundIndex interval indexes for < <= > >= — paged B-tree
 //     leaves (SoA bound/slot arrays) under a flat router, giving O(log n)
-//     insert/remove with contiguous page walks for the range scans, plus a
-//     bulk-merge path (insert_batch) that add_batch() uses for VES's bulk
-//     version re-materialisation
+//     insert/remove with contiguous page walks for the range scans
 //   * hash maps for numeric and string equality
 //   * SoA scan arrays for numeric != (IEEE `v != bound` is exactly the
 //     content-based kNe, including NaN on either side) and a string != list
-//   * a scan list for ordered string comparisons and for quarantined
-//     NaN-constant ordered/equality predicates — NaN has no place in a
-//     sorted structure and such predicates can never match, so they are
-//     evaluated (to false) by scan
+//   * an exact scan list (Predicate::matches) for ordered string
+//     comparisons, for quarantined NaN-constant ordered/equality predicates
+//     — NaN has no place in a sorted structure and such predicates can never
+//     match — and for int constants that fail compares_as_double (|c| >=
+//     2^53), whose doubles would order publication ints wrongly
 //
 // Subscriptions occupy dense slots; hit counting uses an epoch-stamped
 // counter array (a generation stamp marks a slot's counter valid for the
@@ -31,10 +30,11 @@
 // index entries behind on remove (the duplicate-predicate leak).
 //
 // Maintenance cost is the VES story (paper Figures 8 and 9): every version
-// replacement pays one remove+insert here. The paged indexes keep that cost
-// logarithmic in the matcher population, and add_batch() amortises a whole
-// evolution wave into one sorted merge per touched (attribute, operator)
-// list — the properties that make million-subscription populations viable.
+// replacement is one rebound() here, which keeps the slot and its predicate
+// storage, skips predicates the new version leaves unchanged and re-indexes
+// each changed one under the same slot — for a moved ordered bound one
+// erase plus one insert in its bound index, logarithmic in the population
+// and allocation-free in steady state.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +53,8 @@ class CountingMatcher final : public Matcher {
   using Matcher::match;
 
   void add(SubscriptionId id, const std::vector<Predicate>& preds) override;
-  void add_batch(std::vector<MatcherBatchEntry> batch) override;
   bool remove(SubscriptionId id) override;
+  void rebound(SubscriptionId id, const std::vector<Predicate>& version) override;
   void match(const Publication& pub, std::vector<SubscriptionId>& out) const override;
   [[nodiscard]] bool contains(SubscriptionId id) const override { return slot_of_.contains(id); }
   [[nodiscard]] std::size_t size() const override { return slot_of_.size(); }
@@ -89,8 +89,9 @@ class CountingMatcher final : public Matcher {
     std::vector<SubSlot> ne_slots;
     // String != (matches every numeric publication value: incomparable).
     std::vector<std::pair<std::string, SubSlot>> ne_str;
-    // Scan fallback: ordered string comparisons and quarantined NaN-constant
-    // ordered/equality predicates (never satisfiable, evaluated by scan).
+    // Exact scan: ordered string comparisons, quarantined NaN-constant
+    // ordered/equality predicates (never satisfiable) and int constants
+    // beyond the exact doubles.
     std::vector<std::pair<Predicate, SubSlot>> misc;
 
     [[nodiscard]] bool empty() const noexcept {
@@ -104,20 +105,11 @@ class CountingMatcher final : public Matcher {
     std::vector<Predicate> preds;    // deduplicated
   };
 
-  /// Staged bound-list insert (add_batch): one per ordered numeric
-  /// predicate, grouped by (attr, op) then bulk-merged.
-  struct StagedBound {
-    AttrId attr;
-    RelOp op;
-    double bound;
-    SubSlot slot;
-  };
-
+  /// Append `preds` minus repeats of an earlier predicate to `out`.
+  static void dedup_into(const std::vector<Predicate>& preds, std::vector<Predicate>& out);
   /// Allocate/recycle a slot and register `id`'s deduplicated predicates.
   SubSlot claim_slot(SubscriptionId id, const std::vector<Predicate>& preds);
-  /// Index one predicate. With `staged` non-null, ordered numeric bounds are
-  /// appended there for a later bulk merge instead of inserted point-wise.
-  void index_predicate(SubSlot slot, const Predicate& p, std::vector<StagedBound>* staged);
+  void index_predicate(SubSlot slot, const Predicate& p);
   void unindex_predicate(SubSlot slot, const Predicate& p);
   [[nodiscard]] AttributeIndex* find_index(AttrId attr) noexcept {
     return attr < index_.size() ? &index_[attr] : nullptr;
@@ -132,6 +124,7 @@ class CountingMatcher final : public Matcher {
   std::vector<SubSlot> free_slots_;    // recycled slots
   std::unordered_map<SubscriptionId, SubSlot> slot_of_;
   std::size_t predicate_count_ = 0;
+  std::vector<Predicate> version_;     // rebound scratch: the deduplicated version
 
   // Epoch-stamped match scratch: counts_[s] is valid iff stamp_[s] ==
   // epoch_, so no per-match clearing. Engine operations are serialised per

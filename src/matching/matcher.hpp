@@ -17,14 +17,6 @@
 
 namespace evps {
 
-/// One subscription of an add_batch() call. Owned by value so sharded
-/// matchers can redistribute entries across shards without copying the
-/// predicate vectors.
-struct MatcherBatchEntry {
-  SubscriptionId id;
-  std::vector<Predicate> preds;
-};
-
 class Matcher {
  public:
   virtual ~Matcher() = default;
@@ -33,18 +25,21 @@ class Matcher {
   /// present; predicates must all be static.
   virtual void add(SubscriptionId id, const std::vector<Predicate>& preds) = 0;
 
-  /// Install a batch of subscriptions, exactly as if add() had been called
-  /// per entry in order (the default does just that; a partial failure
-  /// leaves the earlier entries installed). Implementations override this to
-  /// amortise index maintenance — CountingMatcher turns the batch into one
-  /// sorted bulk merge per touched (attribute, operator) bound list, the
-  /// path VES uses for bulk version re-materialisation.
-  virtual void add_batch(std::vector<MatcherBatchEntry> batch) {
-    for (auto& entry : batch) add(entry.id, entry.preds);
-  }
-
   /// Remove the subscription; returns false if unknown.
   virtual bool remove(SubscriptionId id) = 0;
+
+  /// Replace `id`'s predicates with `version` (installing it when `id` is
+  /// unknown). The observable result equals remove(id) followed by
+  /// add(id, version), which is what the default does; a version with an
+  /// evolving predicate throws before anything changes. This is the one
+  /// version-replacement path (VES evolutions, LEES filter envelopes):
+  /// CountingMatcher overrides it to keep the slot and re-index only the
+  /// predicates that changed.
+  virtual void rebound(SubscriptionId id, const std::vector<Predicate>& version) {
+    require_static(version);
+    remove(id);
+    add(id, version);
+  }
 
   /// Append all matching subscription ids to `out` in ascending id order.
   virtual void match(const Publication& pub, std::vector<SubscriptionId>& out) const = 0;
@@ -107,10 +102,9 @@ using MatcherPtr = std::unique_ptr<Matcher>;
 /// Matcher implementations selectable by configuration:
 ///   * kBruteForce — linear-scan oracle (tests, baselines)
 ///   * kCounting   — paged per-attribute interval indexes: fast match,
-///                   O(log n) insert/remove, bulk add_batch (the default)
-///   * kChurn      — unordered buckets: O(1) amortised insert/remove for
-///                   high subscription churn [10], linear-ish match
-enum class MatcherKind { kBruteForce, kCounting, kChurn };
+///                   O(log n) insert/remove and slot-keeping rebound (the
+///                   default)
+enum class MatcherKind { kBruteForce, kCounting };
 
 [[nodiscard]] MatcherPtr make_matcher(MatcherKind kind);
 

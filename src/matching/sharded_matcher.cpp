@@ -47,21 +47,11 @@ void ShardedMatcher::add(SubscriptionId id, const std::vector<Predicate>& preds)
   shards_[shard_of(id)]->add(id, preds);
 }
 
-void ShardedMatcher::add_batch(std::vector<MatcherBatchEntry> batch) {
-  if (shards_.size() == 1) {
-    shards_[0]->add_batch(std::move(batch));
-    return;
-  }
-  // Redistribute by ownership (entries moved, not copied) so each shard gets
-  // one bulk merge over its own subset.
-  std::vector<std::vector<MatcherBatchEntry>> per_shard(shards_.size());
-  for (auto& entry : batch) per_shard[shard_of(entry.id)].push_back(std::move(entry));
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!per_shard[s].empty()) shards_[s]->add_batch(std::move(per_shard[s]));
-  }
-}
-
 bool ShardedMatcher::remove(SubscriptionId id) { return shards_[shard_of(id)]->remove(id); }
+
+void ShardedMatcher::rebound(SubscriptionId id, const std::vector<Predicate>& version) {
+  shards_[shard_of(id)]->rebound(id, version);
+}
 
 bool ShardedMatcher::contains(SubscriptionId id) const {
   return shards_[shard_of(id)]->contains(id);

@@ -43,8 +43,8 @@ class ShardedMatcher final : public Matcher {
   [[nodiscard]] static std::size_t shard_of(SubscriptionId id, std::size_t shards) noexcept;
 
   void add(SubscriptionId id, const std::vector<Predicate>& preds) override;
-  void add_batch(std::vector<MatcherBatchEntry> batch) override;
   bool remove(SubscriptionId id) override;
+  void rebound(SubscriptionId id, const std::vector<Predicate>& version) override;
   void match(const Publication& pub, std::vector<SubscriptionId>& out) const override;
   void match_batch(std::span<const Publication* const> pubs,
                    std::vector<std::vector<SubscriptionId>>& out) const override;

@@ -1,8 +1,7 @@
 // PagedBoundIndex unit tests: agreement with a reference sorted multiset
 // under randomized insert/erase/scan workloads, page-split/page-drain edge
-// cases, bulk-merge equivalence, and the IEEE corner cases the ordering
-// contract promises (±inf, -0.0; NaN is rejected by contract and never
-// inserted).
+// cases and the IEEE corner cases the ordering contract promises (±inf,
+// -0.0; NaN is rejected by contract and never inserted).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +16,10 @@ namespace evps {
 namespace {
 
 using Slot = PagedBoundIndex::Slot;
-using Entry = PagedBoundIndex::Entry;
+struct Entry {
+  double bound;
+  Slot slot;
+};
 
 /// Reference model: flat vector kept sorted by (bound, slot).
 struct Reference {
@@ -161,47 +163,6 @@ TEST(PagedBoundIndex, EqualBoundRunSpanningPagesScansExactly) {
     ref.erase(5.0, s);
   }
   for (const double v : {4.5, 5.0, 5.5}) expect_agrees(idx, ref, v);
-}
-
-TEST(PagedBoundIndex, InsertBatchMatchesIndividualInserts) {
-  Rng rng{11};
-  PagedBoundIndex incremental;
-  PagedBoundIndex batched;
-  Reference ref;
-  // Seed both with a shared prefix, then merge batches of varying size.
-  for (int round = 0; round < 30; ++round) {
-    std::vector<Entry> batch;
-    const auto batch_size = rng.uniform_int(1, 400);
-    for (std::int64_t i = 0; i < batch_size; ++i) {
-      const double bound = static_cast<double>(rng.uniform_int(-1000, 1000)) / 8.0;
-      const auto slot = static_cast<Slot>(rng.uniform_int(0, 100000));
-      batch.push_back(Entry{bound, slot});
-      incremental.insert(bound, slot);
-      ref.insert(bound, slot);
-    }
-    batched.insert_batch(std::move(batch));
-    ASSERT_EQ(batched.size(), incremental.size());
-    // Interleave point erases so merged pages see later point operations.
-    for (int k = 0; k < 20 && !ref.entries.empty(); ++k) {
-      const auto& victim = ref.entries[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(ref.entries.size()) - 1))];
-      const double bound = victim.bound;
-      const Slot slot = victim.slot;
-      ASSERT_TRUE(incremental.erase(bound, slot));
-      ASSERT_TRUE(batched.erase(bound, slot));
-      ref.erase(bound, slot);
-    }
-    expect_agrees(batched, ref, static_cast<double>(rng.uniform_int(-1100, 1100)) / 8.0);
-  }
-  std::vector<Entry> a;
-  std::vector<Entry> b;
-  incremental.visit_all([&](double bound, Slot s) { a.push_back(Entry{bound, s}); });
-  batched.visit_all([&](double bound, Slot s) { b.push_back(Entry{bound, s}); });
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].bound, b[i].bound);
-    EXPECT_EQ(a[i].slot, b[i].slot);
-  }
 }
 
 TEST(PagedBoundIndex, InfinityAndNegativeZeroOrdering) {

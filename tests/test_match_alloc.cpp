@@ -2,7 +2,9 @@
 // criterion of the compiled-predicate work): after a warm-up publication has
 // grown every scratch buffer to capacity, BrokerEngine::match performs zero
 // allocations for LEES, CLEES, VES, hybrid and static engines alike — for
-// LEES also while the clock advances inside its filter windows.
+// LEES also while the clock advances inside its filter windows. Steady-state
+// version replacement (Matcher::rebound, VES's per-evolution maintenance)
+// allocates nothing either.
 //
 // The whole-program operator new/delete are replaced with counting versions
 // in this binary. All variants are forwarded to malloc/free consistently so
@@ -21,6 +23,7 @@
 #include "evolving/lees_engine.hpp"
 #include "evolving/static_engine.hpp"
 #include "evolving/ves_engine.hpp"
+#include "matching/sharded_matcher.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -238,6 +241,41 @@ TEST_F(MatchAllocation, StaticSteadyStateIsAllocFree) {
   StaticEngine engine{EngineConfig{.kind = EngineKind::kStatic}};
   populate(engine, host, 120, false);
   expect_alloc_free_matching(engine, host, make_pubs());
+}
+
+TEST_F(MatchAllocation, ShardedReboundOfMovingBandIsAllocFree) {
+  // An HFT band `symbol = s; price in c ± 0.25` whose two bounds move each
+  // version: rebound keeps the slot and re-indexes both bounds under it, so
+  // once every page has seen both versions nothing allocates.
+  ShardedMatcher matcher{MatcherKind::kCounting, 4};
+  const auto band = [](double c) {
+    return std::vector<Predicate>{Predicate{"symbol", RelOp::kEq, Value{"IBM"}},
+                                  Predicate{"price", RelOp::kGe, Value{c - 0.25}},
+                                  Predicate{"price", RelOp::kLe, Value{c + 0.25}}};
+  };
+  constexpr std::uint64_t kSubs = 2000;
+  std::vector<std::vector<Predicate>> versions[2];
+  for (std::uint64_t id = 1; id <= kSubs; ++id) {
+    const auto c = static_cast<double>(id % 500);
+    matcher.add(SubscriptionId{id}, band(c));
+    versions[0].push_back(band(c + 0.01));
+    versions[1].push_back(band(c + 0.02));
+  }
+  const auto wave = [&](int turn) {
+    for (std::uint64_t id = 1; id <= kSubs; ++id) {
+      matcher.rebound(SubscriptionId{id}, versions[turn & 1][id - 1]);
+    }
+  };
+  for (int warm = 0; warm < 4; ++warm) wave(warm);
+  const std::uint64_t before = alloc_count();
+  for (int round = 0; round < 20; ++round) wave(round);
+  EXPECT_EQ(alloc_count() - before, 0u) << "steady-state rebound allocated";
+
+  // The last wave left version 1 (c + 0.02): price 7.2 is in 7 + 0.02 ± 0.25.
+  std::vector<SubscriptionId> hits;
+  matcher.match(Publication{{"symbol", Value{"IBM"}}, {"price", Value{7.2}}}, hits);
+  EXPECT_EQ(hits, (std::vector<SubscriptionId>{SubscriptionId{7}, SubscriptionId{507},
+                                               SubscriptionId{1007}, SubscriptionId{1507}}));
 }
 
 /// Batch variant: after warm-up passes have sized every per-shard scratch

@@ -2,7 +2,6 @@
 
 #include "expr/parser.hpp"
 #include "matching/brute_force_matcher.hpp"
-#include "matching/churn_matcher.hpp"
 #include "matching/counting_matcher.hpp"
 #include "message/codec.hpp"
 
@@ -118,25 +117,32 @@ TEST_P(MatcherKinds, ReAddAfterRemove) {
   EXPECT_EQ(matcher_->match(parse_publication("x = -1")).size(), 1u);
 }
 
+TEST_P(MatcherKinds, ReboundReplacesOrInstallsAVersion) {
+  matcher_->add(SubscriptionId{1}, preds({"x >= 0", "x <= 10", "symbol = 'IBM'"}));
+  matcher_->rebound(SubscriptionId{1}, preds({"x >= 20", "x <= 30", "symbol = 'IBM'"}));
+  EXPECT_TRUE(matcher_->match(parse_publication("x = 5; symbol = 'IBM'")).empty());
+  EXPECT_EQ(matcher_->match(parse_publication("x = 25; symbol = 'IBM'")).size(), 1u);
+  // A different shape: another attribute, operator and predicate count.
+  matcher_->rebound(SubscriptionId{1}, preds({"y != 3"}));
+  EXPECT_TRUE(matcher_->match(parse_publication("x = 25; symbol = 'IBM'")).empty());
+  EXPECT_EQ(matcher_->match(parse_publication("y = 4")).size(), 1u);
+  // An unknown id is installed; an evolving version throws and changes nothing.
+  matcher_->rebound(SubscriptionId{2}, preds({"y != 3"}));
+  EXPECT_EQ(matcher_->size(), 2u);
+  EXPECT_THROW(matcher_->rebound(SubscriptionId{1}, preds({"y > 2 * t"})),
+               std::invalid_argument);
+  EXPECT_EQ(matcher_->match(parse_publication("y = 4")).size(), 2u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllMatchers, MatcherKinds,
-                         ::testing::Values(MatcherKind::kBruteForce, MatcherKind::kCounting,
-                                           MatcherKind::kChurn),
+                         ::testing::Values(MatcherKind::kBruteForce, MatcherKind::kCounting),
                          [](const auto& info) {
                            switch (info.param) {
                              case MatcherKind::kBruteForce: return "BruteForce";
                              case MatcherKind::kCounting: return "Counting";
-                             case MatcherKind::kChurn: return "Churn";
                            }
                            return "unknown";
                          });
-
-TEST(ChurnMatcher, PredicateCountTracked) {
-  ChurnMatcher m;
-  m.add(SubscriptionId{1}, preds({"x > 0", "y < 3"}));
-  EXPECT_EQ(m.predicate_count(), 2u);
-  m.remove(SubscriptionId{1});
-  EXPECT_EQ(m.predicate_count(), 0u);
-}
 
 TEST(CountingMatcher, PredicateCountTracked) {
   CountingMatcher m;

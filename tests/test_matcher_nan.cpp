@@ -9,8 +9,7 @@
 //     entry (now quarantined into the misc scan list).
 //   * NaN-keyed eq_num entries leaked on remove — find(NaN) never succeeds
 //     on a double-keyed hash map — leaving stale entries aimed at recycled
-//     slots (CountingMatcher) or stale back-references able to corrupt a
-//     reused slot's location table (ChurnMatcher).
+//     slots.
 //   * A NaN *publication* value spuriously satisfied every <= / >= bound
 //     (NaN degenerates lower_bound/upper_bound partitions).
 //   * A `!= NaN` predicate could not be removed (Value::operator== is false
@@ -20,10 +19,10 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 
 #include "common/rng.hpp"
 #include "matching/brute_force_matcher.hpp"
-#include "matching/churn_matcher.hpp"
 #include "matching/counting_matcher.hpp"
 #include "matching/sharded_matcher.hpp"
 
@@ -64,8 +63,8 @@ TEST(NanBound, RemovingOneNanBoundSubscriptionLeavesOthersIntact) {
 // A NaN equality or kNe constant must be fully unindexed on remove; the
 // recycled slot is then re-used by an unrelated subscription which must not
 // inherit any stale entry.
-template <typename M>
-void nan_remove_then_reuse_slot(M& m) {
+TEST(NanEqLeak, CountingRemoveThenReuseSlot) {
+  CountingMatcher m;
   m.add(SubscriptionId{1}, {Predicate{"x", RelOp::kEq, Value{kNaN}}});
   // NaN == NaN is false under content-based semantics: never matches.
   EXPECT_TRUE(hits(m, Publication{{"x", Value{kNaN}}}).empty());
@@ -81,18 +80,8 @@ void nan_remove_then_reuse_slot(M& m) {
   EXPECT_EQ(m.indexed_entry_count(), 0u);
 }
 
-TEST(NanEqLeak, CountingRemoveThenReuseSlot) {
+TEST(NanNeGhost, CountingRemoveUnindexesNeNan) {
   CountingMatcher m;
-  nan_remove_then_reuse_slot(m);
-}
-
-TEST(NanEqLeak, ChurnRemoveThenReuseSlot) {
-  ChurnMatcher m;
-  nan_remove_then_reuse_slot(m);
-}
-
-template <typename M>
-void nan_ne_ghost(M& m) {
   // `x != NaN` is satisfied by EVERY x value (incomparable => kNe holds).
   m.add(SubscriptionId{1}, {Predicate{"x", RelOp::kNe, Value{kNaN}}});
   EXPECT_EQ(hits(m, Publication{{"x", Value{1.0}}}), Ids{SubscriptionId{1}});
@@ -108,21 +97,10 @@ void nan_ne_ghost(M& m) {
   EXPECT_EQ(hits(m, Publication{{"y", Value{1}}}), Ids{SubscriptionId{9}});
 }
 
-TEST(NanNeGhost, CountingRemoveUnindexesNeNan) {
-  CountingMatcher m;
-  nan_ne_ghost(m);
-}
-
-TEST(NanNeGhost, ChurnRemoveUnindexesNeNan) {
-  ChurnMatcher m;
-  nan_ne_ghost(m);
-}
-
 TEST(NanPublication, SatisfiesOnlyNePredicates) {
   // A NaN publication value used to fall through the bound-list binary
   // searches with a NaN pivot, spuriously hitting every <= / >= bound.
   CountingMatcher counting;
-  ChurnMatcher churn;
   BruteForceMatcher oracle;
   const std::vector<std::pair<RelOp, double>> preds{
       {RelOp::kLt, 5.0}, {RelOp::kLe, 5.0}, {RelOp::kGt, 5.0},
@@ -133,14 +111,12 @@ TEST(NanPublication, SatisfiesOnlyNePredicates) {
     const std::vector<Predicate> p{Predicate{"x", op, Value{bound}}};
     oracle.add(SubscriptionId{id}, p);
     counting.add(SubscriptionId{id}, p);
-    churn.add(SubscriptionId{id}, p);
     ++id;
   }
   const Publication pub{{"x", Value{kNaN}}};
   const Ids expected = oracle.match(pub);
   EXPECT_EQ(expected, Ids{SubscriptionId{6}});  // only x != 5
   EXPECT_EQ(counting.match(pub), expected);
-  EXPECT_EQ(churn.match(pub), expected);
 }
 
 TEST(NonFiniteAgreement, ExhaustiveOperatorBoundValueCross) {
@@ -150,7 +126,6 @@ TEST(NonFiniteAgreement, ExhaustiveOperatorBoundValueCross) {
   const double specials[] = {-kInf, -1.5, -0.0, 0.0, 1.5, kInf, kNaN};
   BruteForceMatcher oracle;
   CountingMatcher counting;
-  ChurnMatcher churn;
   std::uint64_t id = 1;
   for (int op = 0; op < 6; ++op) {
     for (const double bound : specials) {
@@ -158,7 +133,6 @@ TEST(NonFiniteAgreement, ExhaustiveOperatorBoundValueCross) {
           Predicate{"x", static_cast<RelOp>(op), Value{bound}}};
       oracle.add(SubscriptionId{id}, p);
       counting.add(SubscriptionId{id}, p);
-      churn.add(SubscriptionId{id}, p);
       ++id;
     }
   }
@@ -166,15 +140,10 @@ TEST(NonFiniteAgreement, ExhaustiveOperatorBoundValueCross) {
     const Publication pub{{"x", Value{v}}};
     const Ids expected = oracle.match(pub);
     ASSERT_EQ(counting.match(pub), expected) << "value " << v;
-    ASSERT_EQ(churn.match(pub), expected) << "value " << v;
   }
   // Tear down completely: no entry may survive.
-  for (std::uint64_t i = 1; i < id; ++i) {
-    EXPECT_TRUE(counting.remove(SubscriptionId{i}));
-    EXPECT_TRUE(churn.remove(SubscriptionId{i}));
-  }
+  for (std::uint64_t i = 1; i < id; ++i) EXPECT_TRUE(counting.remove(SubscriptionId{i}));
   EXPECT_EQ(counting.indexed_entry_count(), 0u);
-  EXPECT_EQ(churn.indexed_entry_count(), 0u);
 }
 
 TEST(NegativeZero, CrossSpellingBoundsRemoveIndependently) {
@@ -193,106 +162,148 @@ TEST(NegativeZero, CrossSpellingBoundsRemoveIndependently) {
   EXPECT_EQ(m.indexed_entry_count(), 0u);
 }
 
-// --- add_batch agreement -------------------------------------------------
+// --- rebound agreement ---------------------------------------------------
 
 Value random_value(Rng& rng) {
-  switch (rng.uniform_int(0, 6)) {
+  switch (rng.uniform_int(0, 7)) {
     case 0: return Value{rng.uniform_int(-5, 5)};
     case 1: return Value{rng.uniform(-5.0, 5.0)};
     case 2: return Value{kNaN};
     case 3: return Value{kInf};
     case 4: return Value{-kInf};
     case 5: return Value{-0.0};
+    // Ints sharing the double 2^55: a drifted version keeps the predicate's
+    // double but not its exact constant.
+    case 6: return Value{(std::int64_t{1} << 55) + rng.uniform_int(-1, 2)};
     default: return Value{std::string(1, static_cast<char>('a' + rng.uniform_int(0, 2)))};
   }
 }
 
+const char* const kAttrs[] = {"x", "y", "price"};
+
 std::vector<Predicate> random_preds(Rng& rng) {
-  const char* attrs[] = {"x", "y", "price"};
   std::vector<Predicate> preds;
   const auto n = rng.uniform_int(1, 3);
   for (std::int64_t i = 0; i < n; ++i) {
-    preds.push_back(Predicate{attrs[rng.uniform_int(0, 2)],
+    preds.push_back(Predicate{kAttrs[rng.uniform_int(0, 2)],
                               static_cast<RelOp>(rng.uniform_int(0, 5)), random_value(rng)});
   }
+  // An exact duplicate a third of the time.
+  if (rng.uniform() < 0.33) preds.push_back(preds.front());
   return preds;
 }
 
-TEST(AddBatch, MatchesIndividualAddsIncludingSharded) {
-  // Bulk installation must be observationally identical to per-subscription
-  // add(), for the plain counting matcher and through shard redistribution.
+/// The next version of `preds`: the same attributes and operators with fresh
+/// constants, the shape of an evolution (ordered numeric bounds move).
+std::vector<Predicate> drifted(const std::vector<Predicate>& preds, Rng& rng) {
+  std::vector<Predicate> out;
+  for (const auto& p : preds) out.emplace_back(p.attribute(), p.op(), random_value(rng));
+  return out;
+}
+
+Publication random_publication(Rng& rng) {
+  Publication pub;
+  const auto n = rng.uniform_int(1, 3);
+  for (std::int64_t i = 0; i < n; ++i) pub.set(kAttrs[rng.uniform_int(0, 2)], random_value(rng));
+  return pub;
+}
+
+std::size_t indexed_entries(const ShardedMatcher& m) {
+  std::size_t n = 0;
+  for (std::size_t s = 0; s < m.shard_count(); ++s) {
+    n += dynamic_cast<const CountingMatcher&>(m.shard(s)).indexed_entry_count();
+  }
+  return n;
+}
+
+TEST(Rebound, AgreesWithRemoveThenAddIncludingSharded) {
+  // rebound must be observationally identical to remove + add, for the plain
+  // counting matcher and through the sharded forwarding, whether the version
+  // drifts (same shape) or changes shape, with IEEE specials, strings and
+  // duplicate predicates on both sides.
   Rng rng{4242};
-  BruteForceMatcher oracle;
-  CountingMatcher individual;
-  CountingMatcher batched;
+  BruteForceMatcher oracle;  // remove + add
+  CountingMatcher counting;
   ShardedMatcher sharded{MatcherKind::kCounting, 4};
+  std::map<SubscriptionId, std::vector<Predicate>> live;
 
-  std::uint64_t next_id = 1;
-  for (int round = 0; round < 20; ++round) {
-    std::vector<MatcherBatchEntry> batch;
-    const auto batch_size = rng.uniform_int(1, 120);
-    for (std::int64_t i = 0; i < batch_size; ++i) {
-      const SubscriptionId id{next_id++};
-      auto preds = random_preds(rng);
-      oracle.add(id, preds);
-      individual.add(id, preds);
-      batch.push_back(MatcherBatchEntry{id, std::move(preds)});
-    }
-    {
-      auto copy = batch;
-      batched.add_batch(std::move(copy));
-    }
-    sharded.add_batch(std::move(batch));
-
-    // Interleave some removals so batches land on partially drained indexes.
-    for (int r = 0; r < 10 && next_id > 2; ++r) {
-      const SubscriptionId id{1 + static_cast<std::uint64_t>(
-                                      rng.uniform_int(0, static_cast<std::int64_t>(next_id) - 2))};
-      const bool present = oracle.contains(id);
-      EXPECT_EQ(individual.remove(id), present);
-      EXPECT_EQ(batched.remove(id), present);
-      EXPECT_EQ(sharded.remove(id), present);
-      oracle.remove(id);
-    }
-
-    for (int p = 0; p < 25; ++p) {
-      Publication pub;
-      const char* attrs[] = {"x", "y", "price"};
-      const auto n = rng.uniform_int(1, 3);
-      for (std::int64_t i = 0; i < n; ++i) {
-        pub.set(attrs[rng.uniform_int(0, 2)], random_value(rng));
+  constexpr std::uint64_t kIds = 150;
+  for (std::uint64_t i = 1; i <= kIds; i += 2) {
+    const SubscriptionId id{i};
+    live[id] = random_preds(rng);
+    oracle.add(id, live[id]);
+    counting.add(id, live[id]);
+    sharded.add(id, live[id]);
+  }
+  for (int round = 0; round < 40; ++round) {
+    for (int op = 0; op < 40; ++op) {
+      const SubscriptionId id{1 + static_cast<std::uint64_t>(rng.uniform_int(0, kIds - 1))};
+      const double roll = rng.uniform();
+      if (roll < 0.1) {
+        const bool present = oracle.remove(id);
+        EXPECT_EQ(counting.remove(id), present);
+        EXPECT_EQ(sharded.remove(id), present);
+        live.erase(id);
+        continue;
       }
-      const Ids expected = oracle.match(pub);
-      ASSERT_EQ(hits(individual, pub), expected) << "round " << round;
-      ASSERT_EQ(hits(batched, pub), expected) << "round " << round;
-      ASSERT_EQ(hits(sharded, pub), expected) << "round " << round;
+      // Unknown ids are installed; present ones drift or change shape.
+      const auto it = live.find(id);
+      auto version = it != live.end() && roll < 0.7 ? drifted(it->second, rng) : random_preds(rng);
+      oracle.remove(id);
+      oracle.add(id, version);
+      counting.rebound(id, version);
+      sharded.rebound(id, version);
+      live[id] = std::move(version);
     }
-    ASSERT_EQ(individual.size(), oracle.size());
-    ASSERT_EQ(batched.size(), oracle.size());
+    for (int p = 0; p < 25; ++p) {
+      const Publication pub = random_publication(rng);
+      const Ids expected = oracle.match(pub);
+      ASSERT_EQ(hits(counting, pub), expected) << "round " << round << " pub " << pub.to_string();
+      ASSERT_EQ(hits(sharded, pub), expected) << "round " << round << " pub " << pub.to_string();
+    }
+    ASSERT_EQ(counting.size(), oracle.size());
     ASSERT_EQ(sharded.size(), oracle.size());
   }
 
-  // Drain everything through remove(); the bulk-built indexes must empty out
-  // exactly like the incrementally built one.
-  for (std::uint64_t i = 1; i < next_id; ++i) {
+  // Drain through remove(): rebound indexes must empty out exactly.
+  for (std::uint64_t i = 1; i <= kIds; ++i) {
     const SubscriptionId id{i};
-    const bool present = oracle.contains(id);
-    EXPECT_EQ(batched.remove(id), present);
+    const bool present = oracle.remove(id);
+    EXPECT_EQ(counting.remove(id), present);
     EXPECT_EQ(sharded.remove(id), present);
   }
-  EXPECT_EQ(batched.indexed_entry_count(), 0u);
-  EXPECT_EQ(batched.predicate_count(), 0u);
+  EXPECT_EQ(counting.indexed_entry_count(), 0u);
+  EXPECT_EQ(counting.predicate_count(), 0u);
   EXPECT_EQ(sharded.size(), 0u);
+  EXPECT_EQ(indexed_entries(sharded), 0u);
 }
 
-TEST(AddBatch, EmptyAndSingletonBatches) {
+TEST(Rebound, DuplicatesEmptyVersionsAndSpecialBounds) {
   CountingMatcher m;
-  m.add_batch({});
-  EXPECT_EQ(m.size(), 0u);
-  std::vector<MatcherBatchEntry> one;
-  one.push_back(MatcherBatchEntry{SubscriptionId{7}, {Predicate{"x", RelOp::kGt, Value{1}}}});
-  m.add_batch(std::move(one));
-  EXPECT_EQ(m.match(Publication{{"x", Value{2}}}), Ids{SubscriptionId{7}});
+  const SubscriptionId id{7};
+  m.rebound(id, {Predicate{"x", RelOp::kGt, Value{1}}, Predicate{"x", RelOp::kGt, Value{1}}});
+  EXPECT_EQ(m.predicate_count(), 1u);  // deduplicated like add
+  EXPECT_EQ(m.match(Publication{{"x", Value{2}}}), Ids{id});
+  // An ordered bound moving to -0.0, -inf and NaN (quarantined) and back.
+  for (const double bound : {-0.0, -kInf, kNaN, 3.0}) {
+    m.rebound(id, {Predicate{"x", RelOp::kGt, Value{bound}}, Predicate{"y", RelOp::kNe, Value{bound}}});
+    BruteForceMatcher oracle;
+    oracle.add(id, {Predicate{"x", RelOp::kGt, Value{bound}}, Predicate{"y", RelOp::kNe, Value{bound}}});
+    for (const double v : {-kInf, -1.0, -0.0, 0.0, 2.0, 4.0, kInf, kNaN}) {
+      const Publication pub{{"x", Value{v}}, {"y", Value{v}}};
+      ASSERT_EQ(m.match(pub), oracle.match(pub)) << bound << " " << v;
+    }
+  }
+  // An empty version matches nothing, like an empty subscription.
+  m.rebound(id, {});
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_TRUE(m.match(Publication{{"x", Value{4}}, {"y", Value{1}}}).empty());
+  EXPECT_EQ(m.indexed_entry_count(), 0u);
+  m.rebound(id, {Predicate{"x", RelOp::kLt, Value{5}}});
+  EXPECT_EQ(m.match(Publication{{"x", Value{4}}}), Ids{id});
+  EXPECT_TRUE(m.remove(id));
+  EXPECT_EQ(m.indexed_entry_count(), 0u);
+  EXPECT_EQ(m.predicate_count(), 0u);
 }
 
 }  // namespace

@@ -2,14 +2,14 @@
 // brute-force oracle on randomized workloads, including interleaved
 // insertions and removals. Generators emit IEEE specials (NaN, ±inf, −0.0)
 // as both predicate constants and publication values — incomparable pairs
-// must satisfy exactly kNe, everywhere.
+// must satisfy exactly kNe, everywhere — and ints at ±2^53 and ±2^55 + {−1..2},
+// where neighbouring ints share one double but compare exactly.
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "common/rng.hpp"
 #include "matching/brute_force_matcher.hpp"
-#include "matching/churn_matcher.hpp"
 #include "matching/counting_matcher.hpp"
 
 namespace evps {
@@ -26,12 +26,19 @@ Value special_double(Rng& rng) {
   }
 }
 
+Value big_int(Rng& rng) {
+  constexpr std::int64_t kBases[] = {std::int64_t{1} << 53, std::int64_t{1} << 55};
+  const std::int64_t base = kBases[rng.uniform_int(0, 1)];
+  return Value{(rng.uniform() < 0.5 ? base : -base) + rng.uniform_int(-1, 2)};
+}
+
 Value random_value(Rng& rng, bool allow_string) {
-  const auto kind = rng.uniform_int(0, allow_string ? 3 : 2);
+  const auto kind = rng.uniform_int(0, allow_string ? 4 : 3);
   switch (kind) {
     case 0: return Value{rng.uniform_int(-20, 20)};
     case 1: return Value{rng.uniform(-20.0, 20.0)};
     case 2: return special_double(rng);
+    case 3: return big_int(rng);
     default: return Value{std::string(1, static_cast<char>('a' + rng.uniform_int(0, 5)))};
   }
 }
@@ -64,7 +71,6 @@ TEST_P(MatcherAgreement, CountingEqualsBruteForce) {
   Rng rng{seed};
   BruteForceMatcher oracle;
   CountingMatcher counting;
-  ChurnMatcher churn;
 
   std::vector<SubscriptionId> live;
   std::uint64_t next_id = 1;
@@ -80,7 +86,6 @@ TEST_P(MatcherAgreement, CountingEqualsBruteForce) {
       for (std::int64_t i = 0; i < n; ++i) preds.push_back(random_predicate(rng));
       oracle.add(id, preds);
       counting.add(id, preds);
-      churn.add(id, preds);
       live.push_back(id);
     } else if (roll < 0.55) {
       const auto idx = static_cast<std::size_t>(
@@ -89,15 +94,12 @@ TEST_P(MatcherAgreement, CountingEqualsBruteForce) {
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
       EXPECT_EQ(oracle.remove(id), true);
       EXPECT_EQ(counting.remove(id), true);
-      EXPECT_EQ(churn.remove(id), true);
     } else {
       const Publication pub = random_publication(rng);
       const auto expected = oracle.match(pub);
       ASSERT_EQ(counting.match(pub), expected) << "pub " << pub.to_string() << " seed " << seed;
-      ASSERT_EQ(churn.match(pub), expected) << "pub " << pub.to_string() << " seed " << seed;
     }
     ASSERT_EQ(counting.size(), oracle.size());
-    ASSERT_EQ(churn.size(), oracle.size());
   }
 }
 
@@ -107,6 +109,35 @@ INSTANTIATE_TEST_SUITE_P(RandomWorkloads, MatcherAgreement,
                                            Params{5, 500, 500}, Params{6, 50, 1000},
                                            Params{7, 1000, 200}, Params{8, 300, 600},
                                            Params{977, 400, 400}, Params{31337, 250, 800}));
+
+TEST(MatcherAgreement, IntsBeyondExactDoublesCompareExactly) {
+  // 2^55 + 1 and 2^55 + 2 round to one double; int/int comparison is exact.
+  BruteForceMatcher oracle;
+  CountingMatcher counting;
+  const std::vector<std::vector<Predicate>> subs{
+      {Predicate{"x", RelOp::kGt, Value{std::int64_t{36028797018963969}}}},
+      {Predicate{"x", RelOp::kNe, Value{std::int64_t{36028797018963969}}}},
+      {Predicate{"x", RelOp::kEq, Value{std::int64_t{36028797018963969}}}},
+      {Predicate{"x", RelOp::kLe, Value{std::int64_t{-36028797018963969}}}},
+      // Equal under Predicate::operator== (the int rounds to the double),
+      // yet the int 2^55 satisfies only the first.
+      {Predicate{"x", RelOp::kGe, Value{0x1p55}},
+       Predicate{"x", RelOp::kGe, Value{std::int64_t{36028797018963969}}}},
+  };
+  for (std::uint64_t i = 0; i < subs.size(); ++i) {
+    oracle.add(SubscriptionId{i + 1}, subs[i]);
+    counting.add(SubscriptionId{i + 1}, subs[i]);
+  }
+  const Publication pub{{"x", Value{std::int64_t{36028797018963970}}}};
+  EXPECT_EQ(oracle.match(pub), (std::vector<SubscriptionId>{SubscriptionId{1}, SubscriptionId{2},
+                                                             SubscriptionId{5}}));
+  EXPECT_EQ(counting.match(pub), oracle.match(pub));
+  for (const std::int64_t v : {std::int64_t{36028797018963968}, std::int64_t{36028797018963969},
+                               std::int64_t{-36028797018963970}, std::int64_t{-36028797018963968}}) {
+    const Publication p{{"x", Value{v}}};
+    EXPECT_EQ(counting.match(p), oracle.match(p)) << v;
+  }
+}
 
 TEST(MatcherAgreement, DenseSameBoundWorkload) {
   // Many predicates sharing the exact same bound stress equal_range removal.

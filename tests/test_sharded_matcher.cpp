@@ -236,14 +236,10 @@ TEST_P(ShardEquivalence, HitsBitIdenticalAcrossShardCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMatcherKinds, ShardEquivalence,
-                         ::testing::Values(MatcherKind::kBruteForce, MatcherKind::kCounting,
-                                           MatcherKind::kChurn),
+                         ::testing::Values(MatcherKind::kBruteForce, MatcherKind::kCounting),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case MatcherKind::kBruteForce: return "BruteForce";
-                             case MatcherKind::kCounting: return "Counting";
-                             default: return "Churn";
-                           }
+                           return info.param == MatcherKind::kBruteForce ? "BruteForce"
+                                                                         : "Counting";
                          });
 
 // ---------------------------------------------------------------------------
@@ -289,7 +285,7 @@ TEST(ShardedMatcher, DefaultMatchBatchFallbackEqualsLoop) {
   // The base-class match_batch (used by every non-sharded matcher) must be
   // the exact loop.
   Rng rng{4242};
-  MatcherPtr m = make_matcher(MatcherKind::kChurn);
+  MatcherPtr m = make_matcher(MatcherKind::kCounting);
   for (std::uint64_t id = 1; id <= 40; ++id) {
     m->add(SubscriptionId{id}, {random_predicate(rng)});
   }

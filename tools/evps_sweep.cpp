@@ -55,7 +55,6 @@ bool parse_system(const std::string& name, SystemKind& out) {
 bool parse_matcher(const std::string& name, MatcherKind& out) {
   if (name == "brute") out = MatcherKind::kBruteForce;
   else if (name == "counting") out = MatcherKind::kCounting;
-  else if (name == "churn") out = MatcherKind::kChurn;
   else return false;
   return true;
 }
@@ -156,6 +155,7 @@ int main(int argc, char** argv) {
         engine = std::string(arg.substr(9));
       } else if (arg.starts_with("--matcher=")) {
         matcher = std::string(arg.substr(10));
+        if (!parse_matcher(matcher, opts.sweep.matcher)) throw std::invalid_argument("matcher");
       } else if (arg.starts_with("--routing=")) {
         routing = std::string(arg.substr(10));
       } else if (arg.starts_with("--out=")) {
@@ -192,10 +192,6 @@ int main(int argc, char** argv) {
     std::cerr << "evps-sweep: unknown engine " << engine << "\n";
     usage_error = true;
   }
-  if (!parse_matcher(matcher, opts.sweep.matcher)) {
-    std::cerr << "evps-sweep: unknown matcher " << matcher << "\n";
-    usage_error = true;
-  }
   if (routing == "advertisement") {
     opts.sweep.routing = RoutingMode::kAdvertisement;
   } else if (routing != "flooding") {
@@ -225,7 +221,7 @@ int main(int argc, char** argv) {
         << "  --seed=R                 root seed (default 1)\n"
         << "  --workers=N              worker threads incl. caller (default 1)\n"
         << "  --engine=KIND            resub|parametric|ves|lees|clees|hybrid (default lees)\n"
-        << "  --matcher=KIND           brute|counting|churn (default counting)\n"
+        << "  --matcher=KIND           brute|counting (default counting)\n"
         << "  --routing=MODE           flooding|advertisement, hft only (default flooding)\n"
         << "  --shards=N               matcher shards per broker (default 0 = single)\n"
         << "  --link-batch=N           per-link batch size (default 1)\n"
